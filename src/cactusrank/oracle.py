@@ -52,8 +52,10 @@ def _reduce_in_place(adj, deg, vals: list, q: int) -> list:
 
     Stage 2 is Dhar's burning test: start a fire at q, a vertex burns once
     more burnt neighbors point at it than it has chips.  While some set
-    survives the fire, that whole set fires as one unit.  Each round pushes
-    chips strictly toward q, so this terminates too.
+    survives the fire, that whole set fires as one unit, as many times in a
+    row as it can without debt, so a vertex holding many chips does not
+    take one round per chip.  Each round pushes chips strictly toward q, so
+    this terminates too.
     """
     n = len(vals)
     while True:
@@ -81,12 +83,15 @@ def _reduce_in_place(adj, deg, vals: list, q: int) -> list:
         unburnt = [v for v in range(n) if not burnt[v]]
         if not unburnt:
             return vals
+        # an unburnt v has cnt[v] edges leaving the set, so the set can fire
+        # t times in a row before its poorest vertex would go into debt
+        t = min(vals[v] // cnt[v] for v in unburnt if cnt[v])
         inside = set(unburnt)
         for v in unburnt:
             for u, m in adj[v].items():
                 if u not in inside:
-                    vals[v] -= m
-                    vals[u] += m
+                    vals[v] -= t * m
+                    vals[u] += t * m
 
 
 def q_reduce(g: Multigraph, f: Sequence[int], q: int) -> ReducedDivisor:

@@ -210,6 +210,41 @@ def test_criterion_6_linear_time_benchmark(tmp_path):
           f"growth rates {['%.2f' % r for r in rates]}")
 
 
+def test_midband_polynomial_time():
+    # degree g - 1 on criterion 6's family, in-process: the regime the
+    # degree ladder cannot close, where every good cycle offers both the
+    # charged and the skipped branch.  On a 2-vCPU Xeon VM (CPython 3.11.7)
+    # t(2^12) measured 10-18 ms and the per-doubling rates 1.8-2.6; the
+    # bounds leave about 14x and 1.9x of margin.
+    times = {}
+    for p in (10, 11, 12):
+        n = 2 ** p
+        cycles = n // 8
+        g, f = cr.generate(cr.GeneratorParams(
+            vertices=n,
+            cycles=cycles,
+            max_cycle_len=8,
+            divisor_degree=cycles - 1,
+            seed=101,
+        ))
+        best = math.inf
+        for _ in range(7):
+            t0 = time.perf_counter()
+            r = rk(g, f)
+            best = min(best, time.perf_counter() - t0)
+        times[n] = best
+        d = f.degree
+        gn = cr.genus(g)
+        assert r - rk(g, cr.canonical_divisor(g) - f) == d - gn + 1, n
+        assert d - gn <= r <= d // 2, (n, r)
+    assert times[2 ** 12] < 0.25, times
+    sizes = sorted(times)
+    rates = [times[b] / times[a] for a, b in zip(sizes, sizes[1:])]
+    assert max(rates) <= 5.0, times
+    print(f"mid-band PASS: t(2^12)={times[2 ** 12] * 1000:.0f}ms, per-doubling "
+          f"growth rates {['%.2f' % r for r in rates]}")
+
+
 def test_criterion_7_scheme_validity(corpus):
     for g, _ in corpus:
         scheme = cr.build_bes(g)

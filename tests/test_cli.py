@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 import cactusrank as cr
 from cactusrank.cli import main
 
@@ -181,3 +183,40 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "0\n"
+
+
+def _mutate(seed: bytes, edits) -> bytes:
+    # each edit overwrites, inserts or deletes bytes at a position
+    data = bytearray(seed)
+    for kind, pos, chunk in edits:
+        pos %= len(data) + 1
+        if kind == 0:
+            data[pos:pos + len(chunk)] = chunk
+        elif kind == 1:
+            data[pos:pos] = chunk
+        else:
+            del data[pos:pos + len(chunk) + 1]
+    return bytes(data)
+
+
+_SEEDS = [t.encode() for t in (TRIANGLE_GOOD, TRIANGLE_PENDANT, K4)] + [
+    b"n 5\ne 0 1\ne 1 2\ne 2 0\ne 0 3\ne 3 4\ne 4 0\nd 1 0 2 0 -1\n",
+    b"n 1\nd 0\n",
+]
+_EDITS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 99),
+                            st.binary(min_size=1, max_size=3)), max_size=4)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=80),
+                 st.builds(_mutate, st.sampled_from(_SEEDS), _EDITS)))
+def test_exit_code_contract_on_arbitrary_bytes(tmp_path, capsys, data):
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(data)
+    for command in ("rank", "check", "bes", "oracle"):
+        code = main([command, str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4, 5), (command, data, code)
+        if code:
+            assert err.endswith("\n") and err.count("\n") == 1, (command, data, err)

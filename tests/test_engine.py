@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -96,6 +97,20 @@ def test_matches_transparent_recursion():
         g = random_cactus(rng)
         f = random_divisor(rng, g.n, lo=-3, hi=3, max_deg=10)
         assert rk(g, f) == naive_rank(g, f), (g.edges, tuple(f))
+    # genus 6..8 with the degree inside (0, 2g - 2), where the path DP
+    # combines residues across nested subtrees
+    deep = 0
+    while deep < 150:
+        g = random_cactus(rng, max_n=24, max_genus=8, max_cycle_len=5)
+        gn = cr.genus(g)
+        if gn < 6:
+            continue
+        f = [rng.randint(-2, 2) for _ in range(g.n)]
+        target = rng.randint(1, 2 * gn - 3)
+        while sum(f) != target:
+            f[rng.randrange(g.n)] += 1 if sum(f) < target else -1
+        assert rk(g, f) == naive_rank(g, f), (g.edges, tuple(f))
+        deep += 1
 
 
 def test_invariant_under_linear_equivalence():
@@ -211,11 +226,23 @@ def test_engine_leaves_no_state_behind():
     first = cr.rank(g, f)
     second = cr.rank(g, f)
     assert first.rank == second.rank
+    # an in-band rank on 300 cycles leaves the recursion limit as it was
+    g = stacked_triangles(300)
+    f = [0] * g.n
+    f[-1] = 3
+    before = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        for trace in (False, True):
+            cr.rank(g, f, trace=trace)
+            assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_deep_chain_of_cycles():
-    # 60 stacked triangles, one chip at the far end: degree sits inside the
-    # band, so the engine runs nested skip evaluations; they must stay shallow
+    # 60 stacked triangles, one chip at the far end: the degree sits inside
+    # the band, so the rank comes from the path DP over the whole chain
     g = stacked_triangles(60)
     f = [0] * g.n
     f[-1] = 1

@@ -36,6 +36,20 @@ def test_q_reduce_properties_hold():
         assert cr.q_reduce(g, red.values, q) == red
 
 
+def test_q_reduce_large_chip_counts():
+    # a burning round fires its set as often as it can at once, so a
+    # billion chips do not take a billion rounds
+    g = cr.Multigraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    f = [3, -10**9, 10**9, 2]
+    red = cr.q_reduce(g, f, 0)
+    assert all(v >= 0 for v in red.values[1:])
+    assert cr.q_reduce(g, red.values, 0) == red
+    # f - [3, -1, 1, 2] moves 10^9 - 1 chips, a multiple of 3, along one
+    # triangle edge, so the two are equivalent
+    assert cr.q_reduce(g, [3, -1, 1, 2], 0) == red
+    assert cr.oracle_rank(g, f) == cr.rank(g, f).rank == 4
+
+
 def test_q_reduce_invariant_under_firing():
     g = cycle_graph(4)
     f = cr.Divisor([2, -1, 0, 1])
