@@ -3,11 +3,12 @@
 Everything here works on ANY connected loop-free multigraph, not just cacti,
 so it can cross-check the fast cactus engine from a fully independent angle:
 q-reduced forms via Dhar's burning algorithm, L-effectiveness, rank by
-exhaustive enumeration of effective configurations, and a rank duality
+definition searched over linear-equivalence classes, and a rank duality
 identity checker.
 
-The enumeration is combinatorial by design; oracle_rank refuses instances
-beyond its guards instead of hanging.
+The search is exponential by design (rank is NP-hard on general graphs,
+Kiss-Tothmeresz 2015); oracle_rank refuses instances beyond its guards
+instead of hanging.
 """
 
 from __future__ import annotations
@@ -141,8 +142,14 @@ def oracle_rank(
     """Rank by definition: the largest r such that f minus ANY effective
     divisor of degree r stays L-effective; -1 if f itself is not.
 
+    Every effective divisor of degree r >= 1 is v + E', so rank(D) >= r iff
+    rank(D - v) >= r - 1 at every vertex v.  Rank is a class invariant, so
+    the search runs over linear-equivalence classes, each named by its
+    0-reduced form, and no class is reduced or decided twice.  It deepens
+    r = 1, 2, ... from the class of f and stops at the first r it refutes.
+
     Refuses instances with n > max_vertices or a search passing max_rank
-    (OracleLimitError) rather than grinding through an enormous enumeration.
+    (OracleLimitError) rather than grinding through an enormous search.
     """
     if g.n > max_vertices:
         raise OracleLimitError(
@@ -154,23 +161,72 @@ def oracle_rank(
         raise DisconnectedGraphError("oracle_rank requires a connected graph")
     adj = g.adjacency
     deg = g.degrees
-    base = _reduce_in_place(adj, deg, list(f), 0)
-    if base[0] < 0:
+    n = g.n
+    vals = _reduce_in_place(adj, deg, list(f), 0)
+    if vals[0] < 0:
         return -1
-    # rank is invariant under linear equivalence, so search from the reduced
-    # form: each candidate subtraction then starts nearly reduced already
+    # one record per class: [0-reduced form, the records of its n children
+    # form - v (None until needed), largest r proven, smallest r refuted];
+    # no query passes max_rank, so max_rank + 1 stands for "not refuted"
+    classes = {}
+
+    def record(vals: list) -> list:
+        form = tuple(vals)
+        rec = classes.get(form)
+        if rec is None:
+            if form[0] >= 0:
+                rec = [form, None, 0, max_rank + 1]
+            else:
+                rec = [form, None, -1, 0]
+            classes[form] = rec
+        return rec
+
+    def child(rec: list, v: int) -> list:
+        # a chip off q, or off a vertex that still has one, leaves the form
+        # reduced; only a vertex going into debt needs a reduction
+        vals = list(rec[0])
+        vals[v] -= 1
+        if v and vals[v] < 0:
+            _reduce_in_place(adj, deg, vals, 0)
+        kid = rec[1][v] = record(vals)
+        return kid
+
+    root = record(vals)
     r = 1
     while True:
         if r > max_rank:
             raise OracleLimitError(
                 f"rank search passed {max_rank} (raise max_rank to continue)"
             )
-        for comb in itertools.combinations_with_replacement(range(g.n), r):
-            vals = base[:]
-            for v in comb:
-                vals[v] -= 1
-            if _reduce_in_place(adj, deg, vals, 0)[0] < 0:
-                return r - 1
+        # decide rank >= r depth first; a frame is [record, k, next child]
+        # asking whether its class has rank >= k
+        stack = [[root, r, 0]]
+        held = True
+        while stack:
+            top = stack[-1]
+            rec, k, i = top
+            if not held:
+                rec[3] = k
+                stack.pop()
+                continue
+            kids = rec[1]
+            if kids is None:
+                kids = rec[1] = [None] * n
+            while i < n:
+                kid = kids[i] or child(rec, i)
+                if kid[2] < k - 1:
+                    break
+                i += 1
+            if i == n:
+                rec[2] = k
+                stack.pop()
+            elif kid[3] <= k - 1:
+                held = False
+            else:
+                top[2] = i
+                stack.append([kid, k - 1, 0])
+        if not held:
+            return r - 1
         r += 1
 
 

@@ -1,11 +1,14 @@
-"""Shared test utilities: deterministic graph builders, corpora, and a
-transparent reference implementation of the rank recursion."""
+"""Shared test utilities: deterministic graph builders, corpora, and
+transparent reference implementations of the rank recursion and of rank by
+definition."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import cactusrank as cr
+from cactusrank.oracle import _reduce_in_place
 
 
 def cycle_graph(k: int) -> cr.Multigraph:
@@ -135,6 +138,46 @@ def naive_rank(g: cr.Multigraph, f) -> int:
         return min(skip, rec(i + 1, nxt) + 1)
 
     return rec(0, {v: f[v] for v in range(g.n)})
+
+
+def definition_rank(
+    g: cr.Multigraph,
+    f,
+    *,
+    max_vertices: int = 12,
+    max_rank: int = 8,
+) -> int:
+    """Rank by definition read literally, the reference for oracle_rank:
+    for r = 1, 2, ... subtract every effective divisor of degree r and
+    reduce each result from scratch.  Same guards and errors."""
+    if g.n > max_vertices:
+        raise cr.OracleLimitError(
+            f"graph has {g.n} vertices, oracle guard is {max_vertices}"
+        )
+    if len(f) != g.n:
+        raise cr.GraphError("divisor length mismatch")
+    if not g.is_connected():
+        raise cr.DisconnectedGraphError("oracle_rank requires a connected graph")
+    adj = g.adjacency
+    deg = g.degrees
+    base = _reduce_in_place(adj, deg, list(f), 0)
+    if base[0] < 0:
+        return -1
+    # rank is invariant under linear equivalence, so search from the reduced
+    # form: each candidate subtraction then starts nearly reduced already
+    r = 1
+    while True:
+        if r > max_rank:
+            raise cr.OracleLimitError(
+                f"rank search passed {max_rank} (raise max_rank to continue)"
+            )
+        for comb in itertools.combinations_with_replacement(range(g.n), r):
+            vals = base[:]
+            for v in comb:
+                vals[v] -= 1
+            if _reduce_in_place(adj, deg, vals, 0)[0] < 0:
+                return r - 1
+        r += 1
 
 
 # small named graphs used by several test modules
