@@ -21,14 +21,12 @@ from .graph import (
     laplacian_row,
 )
 from .blocks import (
-    BESTree,
     BesStep,
     Block,
     BlockDecomposition,
     BlockEliminationScheme,
     BlockKind,
     NotCactusError,
-    bes_tree,
     block_decomposition,
     build_bes,
     is_cactus,
@@ -42,11 +40,10 @@ from .blockrank import (
     tree_rank,
     zero_part,
 )
-from .engine import RankResult, TraceStep, rank, rank_fast_path
+from .engine import RankResult, TraceStep, rank
 from .oracle import (
     OracleLimitError,
     ReducedDivisor,
-    enumerate_effective,
     is_l_effective,
     oracle_rank,
     q_reduce,
@@ -61,14 +58,14 @@ __all__ = [
     "Divisor", "DisconnectedGraphError", "FiringVector", "GraphError",
     "Multigraph", "apply_firing", "canonical_divisor", "degree", "genus",
     "index_divisor", "is_effective", "laplacian_row",
-    "BESTree", "BesStep", "Block", "BlockDecomposition",
-    "BlockEliminationScheme", "BlockKind", "NotCactusError", "bes_tree",
-    "block_decomposition", "build_bes", "is_cactus", "validate_bes",
+    "BesStep", "Block", "BlockDecomposition", "BlockEliminationScheme",
+    "BlockKind", "NotCactusError", "block_decomposition", "build_bes",
+    "is_cactus", "validate_bes",
     "Goodness", "contract_divisor", "cycle_goodness", "cycle_rank",
     "tree_rank", "zero_part",
-    "RankResult", "TraceStep", "rank", "rank_fast_path",
-    "OracleLimitError", "ReducedDivisor", "enumerate_effective",
-    "is_l_effective", "oracle_rank", "q_reduce", "rr_check",
+    "RankResult", "TraceStep", "rank",
+    "OracleLimitError", "ReducedDivisor", "is_l_effective", "oracle_rank",
+    "q_reduce", "rr_check",
     "ParseError", "parse_file", "parse_string", "serialize",
     "GeneratorParams", "SplitMix64", "generate",
     "__version__",

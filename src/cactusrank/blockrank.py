@@ -22,7 +22,7 @@ import enum
 from typing import Sequence
 
 from .graph import Divisor, GraphError, Multigraph
-from .blocks import Block, BlockKind, _free_block_shape
+from .blocks import Block, _free_block_shape
 
 
 class Goodness(enum.Enum):

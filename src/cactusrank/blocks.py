@@ -79,18 +79,6 @@ class BlockDecomposition:
     block_of_edge: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BESTree:
-    """Rooted tree on the attachment vertices of a scheme plus its root.
-
-    The parent of a vertex is the attachment of the step that eliminates it;
-    the root is eliminated by no step and is its own parent.
-    """
-
-    parent: dict[int, int]
-    root: int
-
-
 class RawScheme(NamedTuple):
     """Flat elimination order: block t has kind kinds[t] (0 edge, 1 cycle)
     and vertices verts[offs[t]:offs[t+1]] with the attachment first."""
@@ -236,33 +224,6 @@ def build_bes(g: Multigraph) -> BlockEliminationScheme:
     blocks = _wrap_blocks(raw)
     steps = tuple(BesStep(b, b.vertices[0]) for b in blocks)
     return BlockEliminationScheme(steps, raw.root)
-
-
-def bes_tree(scheme: BlockEliminationScheme) -> BESTree:
-    """Parent structure over the scheme's attachment vertices and root."""
-    eliminated: dict[int, int] = {}
-    for step in scheme.steps:
-        a = step.attach
-        if a not in step.block.vertices:
-            raise ValueError("invalid scheme: attachment outside its block")
-        for u in step.block.vertices:
-            if u == a:
-                continue
-            if u in eliminated:
-                raise ValueError(f"invalid scheme: vertex {u} eliminated twice")
-            eliminated[u] = a
-    root = scheme.root
-    if root in eliminated:
-        raise ValueError("invalid scheme: root gets eliminated")
-    parent = {root: root}
-    for step in scheme.steps:
-        a = step.attach
-        if a in parent:
-            continue
-        if a not in eliminated:
-            raise ValueError(f"invalid scheme: attachment {a} never eliminated")
-        parent[a] = eliminated[a]
-    return BESTree(parent, root)
 
 
 def _free_block_shape(adj, deg, vs: tuple[int, ...], a: int, kind: BlockKind) -> bool:

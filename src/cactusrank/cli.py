@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .blocks import BlockKind, NotCactusError, _raw_scheme, build_bes, is_cactus
-from .engine import rank, rank_fast_path
+from .blocks import BlockKind, NotCactusError, build_bes, is_cactus
+from .engine import rank
 from .generate import GeneratorParams, generate
 from .graph import GraphError, canonical_divisor, genus
 from .oracle import OracleLimitError, oracle_rank, q_reduce
@@ -21,14 +21,6 @@ from .problemfile import ParseError, parse_file, serialize
 
 def _cmd_rank(args) -> int:
     g, f = parse_file(args.file, check_connected=False)
-    if args.fast_path_only:
-        _raw_scheme(g)  # cactus / connectivity gate, raises with exit 4 / 3
-        value = rank_fast_path(g, f)
-        if value is None:
-            print("fast path not applicable (degree inside the band)", file=sys.stderr)
-            return 1
-        print(value)
-        return 0
     res = rank(g, f, trace=args.trace)
     if args.trace:
         for s in res.trace:
@@ -119,8 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("file")
     r.add_argument("--trace", action="store_true",
                    help="print per-block decisions to stderr")
-    r.add_argument("--fast-path-only", action="store_true",
-                   help="answer by degree shortcuts alone, exit 1 if none apply")
     r.set_defaults(func=_cmd_rank)
 
     o = sub.add_parser("oracle", help="brute-force rank (small instances)")

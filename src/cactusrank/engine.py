@@ -1,8 +1,9 @@
 """Divisor rank on a cactus by block elimination.
 
-The engine walks the elimination scheme once, leaf blocks first, keeping a
-single mutable chip array.  Eliminating a block moves its chip total onto the
-attachment vertex; what else happens depends on the block:
+The engine walks the elimination scheme (the block scan's raw arrays) once,
+leaf blocks first, keeping a single mutable chip array.  Eliminating a block
+moves its chip total onto the attachment vertex; what else happens depends
+on the block:
 
   edge block    rank unchanged, nothing else to do;
   cycle block   look at the balanced remainder of the chips on the cycle.
@@ -24,10 +25,11 @@ answers, which is also what keeps the common cases linear:
                          residue vanishes (the divisor class is trivial),
                          else -1;
   deg > 2*cycles - 2     rank is deg - cycles;
-  deg = 2*cycles - 2     mirror through the canonical divisor of the live
-                         graph: the mirrored divisor has degree 0, so its
-                         rank is 0 or -1 by the residue test, and
-                         rank = rank(mirror) + cycles - 1.
+  deg = 2*cycles - 2     mirror through the canonical divisor K of the live
+                         graph (Riemann-Roch, Baker-Norine 2007): K - f has
+                         degree 0, so its rank is 0 or -1 by the same
+                         residue sweep run over K - f, and
+                         rank = rank(K - f) + cycles - 1.
 
 Only degrees strictly inside (0, 2*cycles - 2) need more.  The walk goes on
 through edges and bad cycles, checking the ladder before each step, and the
@@ -61,8 +63,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import DisconnectedGraphError, GraphError, Multigraph, genus
-from .blocks import BlockEliminationScheme, BlockKind, validate_bes, _raw_scheme
+from .graph import GraphError, Multigraph
+from .blocks import _raw_scheme
 
 
 _UNREACHABLE = float("-inf")
@@ -90,32 +92,6 @@ class RankResult:
     trace: Optional[tuple[TraceStep, ...]] = None
 
 
-def rank_fast_path(g: Multigraph, f: Sequence[int]) -> Optional[int]:
-    """Degree shortcuts only: -1 below degree 0, deg - genus above 2g - 2,
-    None when the full scheme is needed."""
-    d = sum(f)
-    if d < 0:
-        return -1
-    gn = genus(g)
-    if d > 2 * gn - 2:
-        return d - gn
-    return None
-
-
-def _arrays_from_scheme(scheme: BlockEliminationScheme):
-    kinds: list = []
-    offs: list = [0]
-    verts: list = []
-    for step in scheme.steps:
-        vs = step.block.vertices
-        i = vs.index(step.attach)
-        verts.extend(vs[i:])
-        verts.extend(vs[:i])
-        kinds.append(0 if step.block.kind is BlockKind.EDGE else 1)
-        offs.append(len(verts))
-    return kinds, offs, verts, scheme.root
-
-
 def _raise(out: list, xs: list, c: int, lost: int) -> None:
     """out[c + i] = max(out[c + i], xs[i] + lost) for every i, growing out.
     Lists hold the most chips lost with each number of charges, -inf where
@@ -127,38 +103,32 @@ def _raise(out: list, xs: list, c: int, lost: int) -> None:
                   for x, y in zip(xs, out[c:end])]
 
 
-def rank(
-    g: Multigraph,
-    f: Sequence[int],
-    *,
-    scheme: Optional[BlockEliminationScheme] = None,
-    trace: bool = False,
-) -> RankResult:
+def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
     """Rank of divisor f on the connected cactus g.
 
-    A scheme built by build_bes is used implicitly; pass one explicitly to
-    replay a specific elimination order (it is validated first).  The result
-    does not depend on the order.  With trace=True the per-block decisions of
-    the top-level pass are recorded.
+    The blocks are eliminated in the order build_bes reports; the rank does
+    not depend on the order.  With trace=True the per-block decisions of the
+    top-level pass are recorded.
     """
     if len(f) != g.n:
         raise GraphError("divisor length mismatch")
-    if scheme is None:
-        kinds, offs, verts, root = _raw_scheme(g)
-    else:
-        if not validate_bes(g, scheme):
-            raise GraphError("scheme is not a valid elimination scheme for g")
-        kinds, offs, verts, root = _arrays_from_scheme(scheme)
+    kinds, offs, verts, root = _raw_scheme(g)
 
     nsteps = len(kinds)
     vals = list(f)
     cycles_total = kinds.count(1)
     deg0 = sum(vals)
 
-    def residues_zero(i: int) -> bool:
-        # degree-0 divisor class is trivial iff every remaining cycle's
-        # positional residue is zero; chips funnel toward the root, entering
-        # each cycle at the position where their branch attaches
+    def residues_zero(i: int, sign: int) -> bool:
+        # a degree-0 class is trivial iff every remaining cycle's positional
+        # residue is zero; chips funnel toward the root, entering each cycle
+        # at the position where their branch attaches.  sign 1 tests vals,
+        # sign -1 tests K - vals, K the canonical divisor of the live graph:
+        # K(u) + 2 is u's live degree, its own block's share (1 on an edge,
+        # 2 on a cycle) plus the shares of the live blocks hanging at u,
+        # which are handed down with their chips.  On a cycle each vertex's
+        # share cancels its -2 and the cycle hands down its share of 2 at the
+        # attachment; an edge's end nets -1 and the edge hands down 1.
         extra: dict = {}
         pop = extra.pop
         for t in range(i, nsteps):
@@ -167,7 +137,7 @@ def rank(
             a = verts[lo]
             if kinds[t] == 0:
                 u = verts[lo + 1]
-                extra[a] = extra.get(a, 0) + vals[u] + pop(u, 0)
+                extra[a] = extra.get(a, 0) + sign * vals[u] + pop(u, 0)
             else:
                 k = hi - lo
                 s = 0
@@ -175,43 +145,13 @@ def rank(
                 pos = 1
                 for j in range(lo + 1, hi):
                     u = verts[j]
-                    w = vals[u] + pop(u, 0)
+                    w = sign * vals[u] + pop(u, 0)
                     s += w
                     res += pos * w
                     pos += 1
                 if res % k:
                     return False
-                extra[a] = extra.get(a, 0) + s
-        return True
-
-    def residues_zero_mirror(i: int) -> bool:
-        # same test for (canonical divisor of the live graph) minus vals.  A
-        # non-attachment vertex's live degree is its own block's share (1 on
-        # an edge, 2 on a cycle) plus the shares of the live blocks hanging
-        # at it, which the sweep hands down with their chips.
-        extra: dict = {}
-        pop = extra.pop
-        for t in range(i, nsteps):
-            lo = offs[t]
-            hi = offs[t + 1]
-            a = verts[lo]
-            if kinds[t] == 0:
-                u = verts[lo + 1]
-                extra[a] = extra.get(a, 0) + pop(u, 0) - vals[u]
-            else:
-                k = hi - lo
-                s = 0
-                res = 0
-                pos = 1
-                for j in range(lo + 1, hi):
-                    u = verts[j]
-                    w = pop(u, 0) - vals[u]
-                    s += w
-                    res += pos * w
-                    pos += 1
-                if res % k:
-                    return False
-                extra[a] = extra.get(a, 0) + s + 2
+                extra[a] = extra.get(a, 0) + s + 1 - sign
         return True
 
     def path_dp(i: int) -> int:
@@ -299,7 +239,7 @@ def rank(
             regime = "negative-degree"
             break
         if dg == 0:
-            r = 0 if residues_zero(i) else -1
+            r = 0 if residues_zero(i, 1) else -1
             regime = "zero-degree"
             break
         top = 2 * gp - 2
@@ -308,7 +248,7 @@ def rank(
             regime = "high-degree"
             break
         if dg == top:
-            r = (0 if residues_zero_mirror(i) else -1) + gp - 1
+            r = (0 if residues_zero(i, -1) else -1) + gp - 1
             regime = "mirror"
             break
         # 1 <= dg <= 2*gp - 3: eliminate the next block

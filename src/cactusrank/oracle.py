@@ -13,9 +13,8 @@ instead of hanging.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .graph import (
     Divisor,
@@ -115,21 +114,6 @@ def is_l_effective(g: Multigraph, f: Sequence[int]) -> bool:
     not depend on which base vertex is used.
     """
     return q_reduce(g, f, 0).values[0] >= 0
-
-
-def enumerate_effective(n: int, d: int) -> Iterator[Divisor]:
-    """All effective divisors on n vertices with total degree d, lexicographic
-    by chip-position multiset, each exactly once."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    if d == 0:
-        yield Divisor([0] * n)
-        return
-    for comb in itertools.combinations_with_replacement(range(n), d):
-        vals = [0] * n
-        for v in comb:
-            vals[v] += 1
-        yield Divisor(vals)
 
 
 def oracle_rank(

@@ -100,9 +100,9 @@ def _parse_lines(text: str):
 
 
 _DIGITS = b"0123456789-"
-# the file as one JSON list: with "n " made "[\n" and the last "\n" made "]",
-# "n N\ne u v\n...d x y\n" reads "[ N  ,u,v  ,...  ,x,y]", one comma per
-# space of the file
+# the file as one JSON list: translated, with its first two bytes made "[ "
+# and its last "]", "n N\ne u v\n...d x y\n" reads "[ N  ,u,v  ,...  ,x,y]",
+# one comma per space of the file
 _ITEMS = bytes.maketrans(b" \ned", b",   ")
 
 
@@ -125,14 +125,17 @@ def _parse_canonical(data: bytes):
     if (n < 1 or m < 0 or odd or data.count(b"\ne ") != m or data.count(b"\nd ") != 1
             or skel != b"".join((b"n \n", b"e  \n" * m, b"d ", b" " * (n - 1), b"\n"))):
         return None
-    buf = bytearray(data)
-    buf[0:2] = b"[\n"
+    # only one copy of the file besides data is alive while the list is built
+    buf = bytearray(data).translate(_ITEMS)
+    buf[0:2] = b"[ "
     buf[-1] = ord("]")
+    text = buf.decode("ascii")
+    del buf, skel
     try:
-        items = json.loads(buf.translate(_ITEMS))
+        items = json.loads(text)
     except ValueError:
         return None
-    del buf
+    del text
     divisor = items[2 * m + 1:]
     del items[2 * m + 1:], items[0]
     ends = items

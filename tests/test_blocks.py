@@ -12,7 +12,6 @@ from .helpers import (
     path_graph,
     random_cactus,
     stacked_triangles,
-    star_graph,
 )
 
 
@@ -165,37 +164,6 @@ def test_validate_bes_order_freedom_at_shared_attach():
     flipped = BlockEliminationScheme(tuple(reversed(scheme.steps)), scheme.root)
     assert cr.validate_bes(g, scheme)
     assert cr.validate_bes(g, flipped)
-
-
-def test_bes_tree_shapes():
-    t = cr.bes_tree(cr.build_bes(triangle_with_pendant()))
-    assert t.root == 0
-    assert t.parent == {0: 0, 2: 0}
-
-    t = cr.bes_tree(cr.build_bes(path_graph(3)))
-    assert t.parent == {0: 0, 1: 0}
-
-    t = cr.bes_tree(cr.build_bes(star_graph(4)))
-    assert t.parent == {0: 0}
-
-    t = cr.bes_tree(cr.build_bes(cr.Multigraph(1, [])))
-    assert t.parent == {0: 0}
-
-
-def test_bes_tree_rejects_invalid_schemes():
-    with pytest.raises(ValueError):
-        cr.bes_tree(
-            BlockEliminationScheme(
-                (BesStep(Block(BlockKind.EDGE, (0, 1)), 2),), 0
-            )
-        )
-    # scheme that eliminates its own root
-    with pytest.raises(ValueError):
-        cr.bes_tree(
-            BlockEliminationScheme(
-                (BesStep(Block(BlockKind.EDGE, (0, 1)), 1),), 0
-            )
-        )
 
 
 def test_elimination_order_is_leaf_first():

@@ -160,20 +160,6 @@ def test_rank_trace_goes_to_stderr(tmp_path, capsys):
     assert "base negative-degree" in err
 
 
-def test_rank_fast_path_only(tmp_path, capsys):
-    path = write(tmp_path, "hi.txt", "n 3\ne 0 1\ne 1 2\ne 2 0\nd 5 0 0\n")
-    assert main(["rank", path, "--fast-path-only"]) == 0
-    assert capsys.readouterr().out == "4\n"
-    path = write(tmp_path, "band.txt", TRIANGLE_GOOD)
-    assert main(["rank", path, "--fast-path-only"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "fast path" in err
-    # the cactus gate still applies
-    path = write(tmp_path, "k4.txt", K4)
-    assert main(["rank", path, "--fast-path-only"]) == 4
-
-
 def test_module_entry_point(tmp_path):
     path = write(tmp_path, "t.txt", TRIANGLE_GOOD)
     proc = subprocess.run(
@@ -214,7 +200,7 @@ _EDITS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 99),
 def test_exit_code_contract_on_arbitrary_bytes(tmp_path, capsys, data):
     path = tmp_path / "fuzz.txt"
     path.write_bytes(data)
-    for command in ("rank", "check", "bes", "oracle"):
+    for command in ("rank", "check", "bes", "oracle", "reduce", "rrcheck"):
         code = main([command, str(path)])
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 4, 5), (command, data, code)

@@ -94,25 +94,6 @@ def test_is_l_effective_negative_case():
     assert cr.is_l_effective(g, [0, 0, 0])
 
 
-def test_enumerate_effective_order_and_count():
-    out = [tuple(d) for d in cr.enumerate_effective(3, 2)]
-    assert out == [
-        (2, 0, 0),
-        (1, 1, 0),
-        (1, 0, 1),
-        (0, 2, 0),
-        (0, 1, 1),
-        (0, 0, 2),
-    ]
-    assert len(out) == len(set(out)) == 6
-
-
-def test_enumerate_effective_degree_zero_and_negative():
-    assert [tuple(d) for d in cr.enumerate_effective(4, 0)] == [(0, 0, 0, 0)]
-    with pytest.raises(ValueError):
-        list(cr.enumerate_effective(4, -1))
-
-
 def test_oracle_rank_single_vertex():
     g = cr.Multigraph(1, [])
     assert cr.oracle_rank(g, [3]) == 3
