@@ -197,3 +197,19 @@ def stacked_triangles(levels: int) -> cr.Multigraph:
         nv += 2
         base = b
     return cr.Multigraph(nv, edges)
+
+
+def rank_witness(g: cr.Multigraph, f, res: cr.RankResult) -> list[int]:
+    """An effective divisor E of degree rank + 1 read off a traced path-DP
+    rank: d + 1 chips at the root when the path leaves it d >= 0 chips, and
+    one chip at a non-attachment vertex of each charged cycle.  f - E should
+    not be L-effective, which is what makes the rank no larger."""
+    *steps, base = res.trace
+    blocks = cr.build_bes(g).steps
+    e = [0] * g.n
+    if base.degree_after >= 0:
+        e[base.attach] += base.degree_after + 1
+    for s in steps:
+        if s.branch == "charged":
+            e[blocks[s.index].block.vertices[1]] += 1
+    return e

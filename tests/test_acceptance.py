@@ -245,6 +245,34 @@ def test_midband_polynomial_time():
           f"growth rates {['%.2f' % r for r in rates]}")
 
 
+def test_traced_rank_time():
+    # degree g - 1 at 2^14 on criterion 6's family: the trace is read back
+    # from the same path DP, so it costs a constant factor over the untraced
+    # rank.  On a 2-vCPU Xeon VM (CPython 3.11.7) traced/untraced measured
+    # 1.4-1.6x, so the 3x bound leaves about 2x of margin.
+    n = 2 ** 14
+    cycles = n // 8
+    g, f = cr.generate(cr.GeneratorParams(
+        vertices=n,
+        cycles=cycles,
+        max_cycle_len=8,
+        divisor_degree=cycles - 1,
+        seed=101,
+    ))
+    times = {False: math.inf, True: math.inf}
+    ranks = {}
+    for _ in range(3):
+        for trace in (False, True):
+            t0 = time.perf_counter()
+            ranks[trace] = cr.rank(g, f, trace=trace).rank
+            times[trace] = min(times[trace], time.perf_counter() - t0)
+    dual = rk(g, cr.canonical_divisor(g) - f) + f.degree - cr.genus(g) + 1
+    assert ranks[False] == ranks[True] == dual, (ranks, dual)
+    assert times[True] < 3 * times[False], times
+    print(f"traced rank PASS: {times[True] * 1000:.0f}ms traced, "
+          f"{times[False] * 1000:.0f}ms untraced at 2^14")
+
+
 def test_criterion_7_scheme_validity(corpus):
     for g, _ in corpus:
         scheme = cr.build_bes(g)

@@ -54,6 +54,17 @@ def test_rrcheck_command(tmp_path, capsys):
         assert capsys.readouterr().out == "OK\n"
 
 
+def test_rrcheck_reports_fail(tmp_path, capsys, monkeypatch):
+    # deg 2 on a triangle: rank 1 and rank(K - f) = -1 satisfy the identity;
+    # a rank function that always answers 0 does not
+    path = write(tmp_path, "t.txt", "n 3\ne 0 1\ne 1 2\ne 2 0\nd 2 0 0\n")
+    assert main(["rrcheck", path]) == 0
+    assert capsys.readouterr().out == "OK\n"
+    monkeypatch.setattr("cactusrank.cli.rank", lambda g, f: cr.RankResult(0))
+    assert main(["rrcheck", path]) == 1
+    assert capsys.readouterr().out == "FAIL\n"
+
+
 def test_check_command(tmp_path, capsys):
     path = write(tmp_path, "c.txt", TRIANGLE_PENDANT)
     assert main(["check", path]) == 0
@@ -157,7 +168,7 @@ def test_rank_trace_goes_to_stderr(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "0\n"
     assert "block 0 cycle attach 0 good" in err
-    assert "base negative-degree" in err
+    assert "base path-dp" in err
 
 
 def test_module_entry_point(tmp_path):

@@ -12,6 +12,7 @@ from .helpers import (
     path_graph,
     random_cactus,
     random_divisor,
+    rank_witness,
     stacked_triangles,
 )
 
@@ -22,6 +23,14 @@ def rk(g, f):
 
 def triangle_with_pendant():
     return cr.Multigraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+
+
+def _in_band_divisor(rng, g, gn):
+    f = [rng.randint(-2, 2) for _ in range(g.n)]
+    target = rng.randint(1, 2 * gn - 3)
+    while sum(f) != target:
+        f[rng.randrange(g.n)] += 1 if sum(f) < target else -1
+    return f
 
 
 def test_single_vertex():
@@ -104,10 +113,7 @@ def test_matches_transparent_recursion():
         gn = cr.genus(g)
         if gn < 6:
             continue
-        f = [rng.randint(-2, 2) for _ in range(g.n)]
-        target = rng.randint(1, 2 * gn - 3)
-        while sum(f) != target:
-            f[rng.randrange(g.n)] += 1 if sum(f) < target else -1
+        f = _in_band_divisor(rng, g, gn)
         assert rk(g, f) == naive_rank(g, f), (g.edges, tuple(f))
         deep += 1
 
@@ -176,19 +182,84 @@ def test_rank_duality_identity():
         assert cr.rr_check(g, f, fn)
 
 
+def _check_trace(g, f, res):
+    # one record per block in scheme order, each adjustment set by its
+    # goodness and branch, degree_after running from deg f, and the
+    # path's value max(d + c, c - 1) is the rank
+    *steps, base = res.trace
+    scheme = cr.build_bes(g)
+    assert (base.kind, base.branch, base.attach) == ("base", "path-dp", scheme.root)
+    assert [s.index for s in steps] == list(range(len(scheme.steps)))
+    d = sum(f)
+    for s in steps:
+        if s.kind == "edge":
+            assert (s.goodness, s.branch, s.adjustment) == (None, None, 0)
+        elif s.goodness == "bad":
+            assert (s.kind, s.branch, s.adjustment) == ("cycle", None, -1)
+        else:
+            assert s.kind == "cycle" and s.goodness == "good"
+            assert s.adjustment == {"skipped": 0, "charged": -2}[s.branch]
+        d += s.adjustment
+        assert s.degree_after == d
+    assert base.degree_after == d and base.index == len(steps)
+    c = sum(s.branch == "charged" for s in steps)
+    assert max(d + c, c - 1) == res.rank
+
+
 def test_trace_structure():
     g = bowtie()
     res = cr.rank(g, [1, 0, 0, 0, 0], trace=True)
     assert res.rank == 0
-    trace = res.trace
-    assert trace[0].kind == "cycle"
-    assert trace[0].goodness == "good"
-    assert trace[0].adjustment == -2
-    assert trace[0].branch in ("charged", "skipped")
-    assert trace[-1].kind == "base"
-    assert trace[-1].branch == "negative-degree"
+    assert [s.goodness for s in res.trace[:-1]] == ["good", "good"]
+    _check_trace(g, [1, 0, 0, 0, 0], res)
     # trace off by default
     assert cr.rank(g, [1, 0, 0, 0, 0]).trace is None
+    rng = random.Random(67)
+    hits = 0
+    while hits < 300:
+        g = random_cactus(rng, max_n=16, max_genus=6, max_cycle_len=5)
+        gn = cr.genus(g)
+        if gn < 2:
+            continue
+        f = _in_band_divisor(rng, g, gn)
+        res = cr.rank(g, f, trace=True)
+        assert res.rank == rk(g, f)
+        _check_trace(g, f, res)
+        hits += 1
+
+
+def test_rank_witness_from_trace():
+    # the traced path names an effective E of degree rank + 1 such that
+    # f - E is not L-effective (the oracle's burning test, not the
+    # recursion), so the rank is no larger than the engine says
+    rng = random.Random(68)
+    hits = 0
+    while hits < 600:
+        g = random_cactus(rng, max_n=11, max_genus=5, max_cycle_len=5)
+        gn = cr.genus(g)
+        for target in range(1, 2 * gn - 2):
+            f = [rng.randint(-2, 3) for _ in range(g.n)]
+            while sum(f) != target:
+                f[rng.randrange(g.n)] += 1 if sum(f) < target else -1
+            res = cr.rank(g, f, trace=True)
+            e = rank_witness(g, f, res)
+            assert min(e) >= 0 and sum(e) == res.rank + 1, (g.edges, f)
+            assert cr.is_l_effective(g, [x - y for x, y in zip(f, e)]) is False, (g.edges, f)
+            hits += 1
+
+
+def test_matches_oracle_at_genus_6_to_11():
+    # doubled bridges are 2-cycles, so 12 vertices reach genus 11
+    rng = random.Random(69)
+    hits = 0
+    while hits < 500:
+        g = random_cactus(rng, max_n=12, max_genus=11, max_cycle_len=rng.choice((2, 3)))
+        gn = cr.genus(g)
+        if gn < 6:
+            continue
+        f = _in_band_divisor(rng, g, gn)
+        assert rk(g, f) == cr.oracle_rank(g, f, max_rank=12), (g.edges, f)
+        hits += 1
 
 
 def test_trace_regimes():
