@@ -4,69 +4,51 @@ A fast block-elimination rank engine for cacti, closed forms for trees and
 cycles, an independent brute-force chip-firing oracle for cross-checking,
 a problem-file format, and a seeded generator.  See the cli module (or the
 cactusrank console script) for the command-line surface.
+
+Importing the package loads none of its modules.  Each public name below
+loads the submodule that defines it on first use (PEP 562), so a caller,
+the command line included, pays only for the modules it touches.
 """
 
-from .graph import (
-    Divisor,
-    DisconnectedGraphError,
-    FiringVector,
-    GraphError,
-    Multigraph,
-    apply_firing,
-    canonical_divisor,
-    degree,
-    genus,
-    index_divisor,
-    is_effective,
-    laplacian_row,
-)
-from .blocks import (
-    BesStep,
-    Block,
-    BlockDecomposition,
-    BlockEliminationScheme,
-    BlockKind,
-    NotCactusError,
-    block_decomposition,
-    build_bes,
-    is_cactus,
-    validate_bes,
-)
-from .blockrank import (
-    Goodness,
-    contract_divisor,
-    cycle_goodness,
-    cycle_rank,
-    tree_rank,
-    zero_part,
-)
-from .engine import RankResult, TraceStep, rank
-from .oracle import (
-    OracleLimitError,
-    ReducedDivisor,
-    is_l_effective,
-    oracle_rank,
-    q_reduce,
-    rr_check,
-)
-from .problemfile import ParseError, parse_file, parse_string, serialize
-from .generate import GeneratorParams, SplitMix64, generate
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Divisor", "DisconnectedGraphError", "FiringVector", "GraphError",
-    "Multigraph", "apply_firing", "canonical_divisor", "degree", "genus",
-    "index_divisor", "is_effective", "laplacian_row",
-    "BesStep", "Block", "BlockDecomposition", "BlockEliminationScheme",
-    "BlockKind", "NotCactusError", "block_decomposition", "build_bes",
-    "is_cactus", "validate_bes",
-    "Goodness", "contract_divisor", "cycle_goodness", "cycle_rank",
-    "tree_rank", "zero_part",
-    "RankResult", "TraceStep", "rank",
-    "OracleLimitError", "ReducedDivisor", "is_l_effective", "oracle_rank",
-    "q_reduce", "rr_check",
-    "ParseError", "parse_file", "parse_string", "serialize",
-    "GeneratorParams", "SplitMix64", "generate",
-    "__version__",
-]
+# every public name, under the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("graph", "Divisor DisconnectedGraphError FiringVector GraphError "
+                  "Multigraph NotCactusError OracleLimitError apply_firing "
+                  "canonical_divisor degree genus index_divisor is_effective "
+                  "laplacian_row"),
+        ("blocks", "BesStep Block BlockDecomposition BlockEliminationScheme "
+                   "BlockKind block_decomposition build_bes is_cactus "
+                   "validate_bes"),
+        ("blockrank", "Goodness contract_divisor cycle_goodness cycle_rank "
+                      "tree_rank zero_part"),
+        ("engine", "RankResult TraceStep rank"),
+        ("oracle", "ReducedDivisor is_l_effective oracle_rank q_reduce "
+                   "rr_check"),
+        ("problemfile", "ParseError parse_file parse_string serialize"),
+        ("generator", "GeneratorParams SplitMix64 generate"),
+    )
+    for name in names.split()
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

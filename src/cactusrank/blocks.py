@@ -15,23 +15,10 @@ directly to avoid building a million small objects).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from .graph import DisconnectedGraphError, GraphError, Multigraph
-
-
-class NotCactusError(GraphError):
-    """The graph has a block that is neither an edge nor a simple cycle.
-
-    The offending edge (one that closes a second cycle through some vertex)
-    is stored in .edge.
-    """
-
-    def __init__(self, edge: tuple[int, int]):
-        super().__init__(f"not a cactus: edge {edge} lies on a second cycle")
-        self.edge = edge
+from .graph import DisconnectedGraphError, Multigraph, NotCactusError
 
 
 class BlockKind(enum.Enum):
@@ -39,8 +26,7 @@ class BlockKind(enum.Enum):
     CYCLE = "cycle"
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
+class Block(NamedTuple):
     """A bridge edge or a simple cycle.
 
     For a cycle, vertices are listed in cyclic order (consecutive entries are
@@ -52,14 +38,12 @@ class Block:
     vertices: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class BesStep:
+class BesStep(NamedTuple):
     block: Block
     attach: int
 
 
-@dataclass(frozen=True, slots=True)
-class BlockEliminationScheme:
+class BlockEliminationScheme(NamedTuple):
     """Ordered contractions: replaying steps shrinks the graph to root alone.
 
     At each step the block must be free in the current graph, meaning every
@@ -71,8 +55,7 @@ class BlockEliminationScheme:
     root: int
 
 
-@dataclass(frozen=True, slots=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
     # block_of_edge[i] = index into blocks for edge id i (position in g.edges)

@@ -4,6 +4,9 @@ Commands: rank, oracle, reduce, rrcheck, check, bes, gen.  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 ok, 1 check-style failure,
 2 parse or usage error, 3 invalid graph (loop, bad id, wrong divisor length,
 disconnected), 4 not a cactus, 5 oracle guard exceeded.
+
+Each command imports only the modules it runs, so that a call's start-up
+does not pay for the others.
 """
 
 from __future__ import annotations
@@ -11,15 +14,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .blocks import BlockKind, NotCactusError, build_bes, is_cactus
-from .engine import rank
-from .generate import GeneratorParams, generate
-from .graph import GraphError
-from .oracle import OracleLimitError, oracle_rank, q_reduce, rr_check
+from .graph import GraphError, NotCactusError, OracleLimitError
 from .problemfile import ParseError, parse_file, serialize
 
 
 def _cmd_rank(args) -> int:
+    from .engine import rank
+
     g, f = parse_file(args.file, check_connected=False)
     res = rank(g, f, trace=args.trace)
     if args.trace:
@@ -38,12 +39,16 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import oracle_rank
+
     g, f = parse_file(args.file, check_connected=False)
     print(oracle_rank(g, f, max_vertices=args.max_n, max_rank=args.max_r))
     return 0
 
 
 def _cmd_reduce(args) -> int:
+    from .oracle import q_reduce
+
     g, f = parse_file(args.file, check_connected=False)
     red = q_reduce(g, f, args.base)
     print("d " + " ".join(map(str, red.values)))
@@ -51,6 +56,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_rrcheck(args) -> int:
+    from .blocks import is_cactus
+    from .engine import rank
+    from .oracle import oracle_rank, rr_check
+
     g, f = parse_file(args.file, check_connected=False)
     fn = (lambda gg, ff: rank(gg, ff).rank) if is_cactus(g) else oracle_rank
     ok = rr_check(g, f, fn)
@@ -59,12 +68,16 @@ def _cmd_rrcheck(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .blocks import is_cactus
+
     g, _ = parse_file(args.file, check_connected=False)
     print("cactus" if is_cactus(g) else "not-cactus")
     return 0
 
 
 def _cmd_bes(args) -> int:
+    from .blocks import BlockKind, build_bes
+
     g, _ = parse_file(args.file, check_connected=False)
     scheme = build_bes(g)
     for i, step in enumerate(scheme.steps, 1):
@@ -76,6 +89,8 @@ def _cmd_bes(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generator import GeneratorParams, generate
+
     try:
         params = GeneratorParams(
             vertices=args.vertices,

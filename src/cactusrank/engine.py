@@ -61,8 +61,7 @@ per block along that path, at a constant factor over the untraced pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graph import GraphError, Multigraph
 from .blocks import _raw_scheme
@@ -71,8 +70,7 @@ from .blocks import _raw_scheme
 _UNREACHABLE = float("-inf")
 
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One block on the minimising path, in scheme order.  kind is "edge",
     "cycle", or "base" for the closing record; adjustment is the chip charge
     at the attachment (0, -1 or -2); branch reports which side of the min
@@ -88,8 +86,7 @@ class TraceStep:
     branch: Optional[str] = None
 
 
-@dataclass(frozen=True, slots=True)
-class RankResult:
+class RankResult(NamedTuple):
     rank: int
     trace: Optional[tuple[TraceStep, ...]] = None
 

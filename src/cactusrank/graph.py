@@ -23,6 +23,23 @@ class DisconnectedGraphError(GraphError):
     """Raised by operations that require a connected graph."""
 
 
+class NotCactusError(GraphError):
+    """The graph has a block that is neither an edge nor a simple cycle.
+
+    The offending edge (one that closes a second cycle through some vertex)
+    is stored in .edge.  Raised by the block scan; defined here, beside the
+    other graph errors, so that catching it loads no other module.
+    """
+
+    def __init__(self, edge: tuple[int, int]):
+        super().__init__(f"not a cactus: edge {edge} lies on a second cycle")
+        self.edge = edge
+
+
+class OracleLimitError(RuntimeError):
+    """Instance exceeds the oracle's configured size guards."""
+
+
 class Multigraph:
     """An undirected loop-free multigraph on vertices 0..n-1.
 

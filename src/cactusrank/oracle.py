@@ -13,26 +13,21 @@ instead of hanging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graph import (
     Divisor,
     DisconnectedGraphError,
     GraphError,
     Multigraph,
+    OracleLimitError,
     canonical_divisor,
     degree,
     genus,
 )
 
 
-class OracleLimitError(RuntimeError):
-    """Instance exceeds the oracle's configured size guards."""
-
-
-@dataclass(frozen=True)
-class ReducedDivisor:
+class ReducedDivisor(NamedTuple):
     """A q-reduced chip configuration together with its base vertex."""
 
     values: tuple[int, ...]

@@ -5,7 +5,11 @@ definition."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import cactusrank as cr
 from cactusrank.oracle import _reduce_in_place
@@ -213,3 +217,15 @@ def rank_witness(g: cr.Multigraph, f, res: cr.RankResult) -> list[int]:
         if s.branch == "charged":
             e[blocks[s.index].block.vertices[1]] += 1
     return e
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of `python -c code *args` in a new interpreter that imports
+    cactusrank from this checkout's src/; fails the test on a non-zero exit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -6,6 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import cactusrank as cr
 from cactusrank.cli import main
 
+from .helpers import run_fresh
+
 TRIANGLE_GOOD = "n 3\ne 0 1\ne 1 2\ne 2 0\nd 1 -2 1\n"
 TRIANGLE_PENDANT = "n 4\ne 0 1\ne 1 2\ne 2 0\ne 2 3\nd 0 0 0 0\n"
 K4 = "n 4\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\nd 2 0 0 0\n"
@@ -60,7 +62,7 @@ def test_rrcheck_reports_fail(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "t.txt", "n 3\ne 0 1\ne 1 2\ne 2 0\nd 2 0 0\n")
     assert main(["rrcheck", path]) == 0
     assert capsys.readouterr().out == "OK\n"
-    monkeypatch.setattr("cactusrank.cli.rank", lambda g, f: cr.RankResult(0))
+    monkeypatch.setattr("cactusrank.engine.rank", lambda g, f: cr.RankResult(0))
     assert main(["rrcheck", path]) == 1
     assert capsys.readouterr().out == "FAIL\n"
 
@@ -180,6 +182,30 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "0\n"
+
+
+_LOADED = """
+import sys
+from cactusrank.cli import main
+code = main(sys.argv[1:])
+print(code, " ".join(sorted(sys.modules)))
+"""
+
+
+def test_cli_call_loads_only_its_command(tmp_path):
+    # start-up as a count, not a timer: a fresh interpreter runs one command
+    # and lists every module it loaded
+    path = write(tmp_path, "t.txt", TRIANGLE_GOOD)
+    for command, used, unused in (
+        ("rank", "cactusrank.engine", {"cactusrank.oracle", "cactusrank.generator",
+                                       "cactusrank.blockrank"}),
+        ("oracle", "cactusrank.oracle", {"cactusrank.blocks", "cactusrank.engine",
+                                         "cactusrank.generator"}),
+    ):
+        answer, summary = run_fresh(_LOADED, command, path).splitlines()
+        code, *loaded = summary.split()
+        assert (answer, code) == ("0", "0") and used in loaded
+        assert not (unused | {"dataclasses", "inspect"}) & set(loaded), command
 
 
 def _mutate(seed: bytes, edits) -> bytes:

@@ -2,7 +2,7 @@ import pytest
 
 import cactusrank as cr
 from cactusrank import BlockKind
-from cactusrank.generate import SplitMix64
+from cactusrank.generator import SplitMix64
 
 
 def test_splitmix64_reference_stream():
