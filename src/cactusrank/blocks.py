@@ -15,8 +15,9 @@ directly to avoid building a million small objects).
 from __future__ import annotations
 
 import enum
+from array import array
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .graph import DisconnectedGraphError, Multigraph, NotCactusError
 
@@ -64,11 +65,13 @@ class BlockDecomposition(NamedTuple):
 
 class RawScheme(NamedTuple):
     """Flat elimination order: block t has kind kinds[t] (0 edge, 1 cycle)
-    and vertices verts[offs[t]:offs[t+1]] with the attachment first."""
+    and vertices verts[offs[t]:offs[t+1]] with the attachment first.  offs
+    and verts are C-int arrays, so the scheme holds no int object per block
+    or vertex."""
 
-    kinds: Sequence[int]
-    offs: list
-    verts: list
+    kinds: bytes
+    offs: array
+    verts: array
     root: int
 
 
@@ -101,8 +104,9 @@ def _raw_scheme(g: Multigraph) -> RawScheme:
     claimed = bytearray(n)
     claimed[0] = 1
     cycles: dict = {}
-    verts: list = []
-    sizes: list = []  # per block: its length, negated for an edge
+    verts = array("i")
+    add_vert = verts.append
+    sizes = array("i")  # per block: its length, negated for an edge
     add_size = sizes.append
     path = [-1]
     enter, leave = path.append, path.pop
@@ -114,11 +118,12 @@ def _raw_scheme(g: Multigraph) -> RawScheme:
             x = leave()
             c = claimed[x]
             if not c:
-                verts += (path[-1], x)
+                add_vert(path[-1])
+                add_vert(x)
                 add_size(-2)
             elif c == 2:
                 chain = cycles.pop(x)
-                verts += chain
+                verts.fromlist(chain)
                 add_size(len(chain))
             continue
         if seen[x]:
@@ -153,7 +158,7 @@ def _raw_scheme(g: Multigraph) -> RawScheme:
             f"graph is disconnected ({reached} of {n} vertices reachable)"
         )
     kinds = bytes(map((0).__lt__, sizes))
-    offs = list(accumulate(map(abs, sizes), initial=0))
+    offs = array("i", accumulate(map(abs, sizes), initial=0))
     return RawScheme(kinds, offs, verts, 0)
 
 

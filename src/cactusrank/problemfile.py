@@ -26,7 +26,7 @@ from itertools import islice
 from operator import eq
 from typing import BinaryIO, TextIO, Union
 
-from .graph import DisconnectedGraphError, Divisor, GraphError, Multigraph
+from .graph import _MAX_VERTICES, DisconnectedGraphError, Divisor, GraphError, Multigraph
 
 
 class ParseError(ValueError):
@@ -39,7 +39,8 @@ class ParseError(ValueError):
 
 def _parse_lines(text: str):
     n = None
-    ends: list = []
+    ends = array("i")
+    add_end = ends.append
     divisor = None
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -60,6 +61,8 @@ def _parse_lines(text: str):
                 raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
             if n < 1:
                 raise ParseError("vertex count must be at least 1", lineno)
+            if n > _MAX_VERTICES:
+                raise ParseError(f"vertex count above {_MAX_VERTICES}", lineno)
         elif tag == "e":
             if n is None:
                 raise ParseError("edge before n header", lineno)
@@ -75,8 +78,8 @@ def _parse_lines(text: str):
                 raise GraphError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"line {lineno}: loop edge ({u}, {u}) not allowed")
-            ends.append(u)
-            ends.append(v)
+            add_end(u)
+            add_end(v)
         elif tag == "d":
             if n is None:
                 raise ParseError("divisor before n header", lineno)
@@ -100,10 +103,20 @@ def _parse_lines(text: str):
 
 
 _DIGITS = b"0123456789-"
-# the file as one JSON list: translated, with its first two bytes made "[ "
-# and its last "]", "n N\ne u v\n...d x y\n" reads "[ N  ,u,v  ,...  ,x,y]",
-# one comma per space of the file
+# translated, put after "[0" and closed with "]", a run of canonical lines
+# is one JSON list: "e u v\ne x y\n" reads "[0 ,u,v  ,x,y ]" and "d x y\n"
+# reads "[0 ,x,y ]", one comma per space of the text
 _ITEMS = bytes.maketrans(b" \ned", b",   ")
+# the edge lines are decoded this many bytes at a time, each run extended to
+# the end of its last line, so no list holds more than one run's numbers
+_CHUNK = 1 << 18
+
+
+def _items(data: bytes, lo: int, hi: int) -> list:
+    # the numbers of data[lo:hi], which starts a line and ends one
+    items = json.loads("".join(("[0", data[lo:hi].translate(_ITEMS).decode("ascii"), "]")))
+    del items[0]
+    return items
 
 
 def _parse_canonical(data: bytes):
@@ -112,9 +125,10 @@ def _parse_canonical(data: bytes):
 
     With the digits and minus signs deleted, the text must read
     "n \n" + "e  \n" * m + "d " + " " * (n - 1) + "\n", and every "e" and
-    "d" must start its line.  The C JSON decoder then reads all the numbers
-    in one call and rejects an empty or malformed one.  Ranges and loops are
-    checked last.  No per-edge Python objects are made.
+    "d" must start its line.  The C JSON decoder then reads the numbers a
+    run of lines at a time and rejects an empty or malformed one.  Each
+    run's endpoints are range- and loop-checked and go straight into one
+    array, so no per-edge Python object outlives its run.
     """
     hdr = data.find(b"\n")
     if data[:2] != b"n " or not data[2:hdr].isdigit() or data[-1:] != b"\n":
@@ -122,36 +136,41 @@ def _parse_canonical(data: bytes):
     n = int(data[2:hdr])
     skel = data.translate(None, _DIGITS)
     m, odd = divmod(len(skel) - n - 5, 4)
-    if (n < 1 or m < 0 or odd or data.count(b"\ne ") != m or data.count(b"\nd ") != 1
+    if (not 1 <= n <= _MAX_VERTICES or m < 0 or odd
+            or data.count(b"\ne ") != m or data.count(b"\nd ") != 1
             or skel != b"".join((b"n \n", b"e  \n" * m, b"d ", b" " * (n - 1), b"\n"))):
         return None
-    # only one copy of the file besides data is alive while the list is built
-    buf = bytearray(data).translate(_ITEMS)
-    buf[0:2] = b"[ "
-    buf[-1] = ord("]")
-    text = buf.decode("ascii")
-    del buf, skel
-    try:
-        items = json.loads(text)
-    except ValueError:
-        return None
-    del text
-    divisor = items[2 * m + 1:]
-    del items[2 * m + 1:], items[0]
-    ends = items
-    if m and (data.find(b"-", hdr, data.rfind(b"\nd ")) >= 0 or max(ends) >= n
-              or any(map(eq, islice(ends, 0, None, 2), islice(ends, 1, None, 2)))):
+    del skel
+    div = data.rfind(b"\nd ") + 1
+    if data.find(b"-", hdr, div) >= 0:
         return None  # the line parser reports it with its line number
+    ends = array("i")
+    lo = hdr + 1
+    try:
+        while lo < div:
+            hi = data.find(b"\n", min(lo + _CHUNK, div) - 1) + 1
+            items = _items(data, lo, hi)
+            if max(items) >= n or any(map(eq, islice(items, 0, None, 2),
+                                          islice(items, 1, None, 2))):
+                return None  # likewise
+            ends.fromlist(items)
+            lo = hi
+        divisor = _items(data, div, len(data))
+    except ValueError:  # an empty or malformed number
+        return None
     return n, ends, divisor
 
 
 def _parse_bytes(data: bytes, check_connected: bool):
     if not data.isascii():
-        pos = next(i for i, b in enumerate(data) if b > 127)
-        raise ParseError(f"non-ASCII byte 0x{data[pos]:02x}", data.count(b"\n", 0, pos) + 1)
+        try:
+            data.decode("ascii")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"non-ASCII byte 0x{data[e.start]:02x}",
+                             data.count(b"\n", 0, e.start) + 1) from None
     parsed = _parse_canonical(data)
     n, ends, divisor = parsed or _parse_lines(data.decode("ascii"))
-    g = Multigraph._from_ends(n, array("i", ends))
+    g = Multigraph._from_ends(n, ends)
     if check_connected and not g.is_connected():
         raise DisconnectedGraphError("graph in file is disconnected")
     return g, Divisor(divisor)

@@ -229,3 +229,23 @@ def run_fresh(code: str, *args: str) -> str:
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+# runs argv, reaps it with os.wait4, prints its ru_maxrss (kilobytes on
+# Linux) and exits with its exit code
+_MAXRSS = """import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(usage.ru_maxrss)
+sys.exit(child.returncode)"""
+
+
+def cli_peak_rss_mb(*args: str) -> float:
+    """Peak resident set, in MB, of `python -m cactusrank *args`.
+
+    On Linux a child's ru_maxrss starts at the resident set of the process
+    that spawned it, so a child of the test process would report at least
+    pytest's own peak.  The CLI is spawned instead by a bare `python -c`
+    that stays small."""
+    return int(run_fresh(_MAXRSS, sys.executable, "-m", "cactusrank", *args)) / 1024

@@ -181,6 +181,53 @@ def test_fast_and_slow_paths_agree():
             assert _parse_outcome(text) == _parse_outcome("# forced slow path\n" + text), text
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_fast_path_chunk_boundaries(monkeypatch, chunk):
+    # the fast path decodes its edge lines in runs of _CHUNK bytes, each
+    # extended to the end of its line: 1 makes every line a run of its own,
+    # 7 puts two of the 6-byte lines "e u v\n" in one run
+    monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
+    test_fast_and_slow_paths_agree()
+
+
+def test_fast_path_defers_errors_in_its_last_run():
+    # a path long enough for several runs of the real _CHUNK
+    n = 40000
+    lines = [f"e {i} {i + 1}\n" for i in range(n - 1)]
+    text = "".join([f"n {n}\n", *lines, "d " + " ".join(["0"] * n) + "\n"])
+    assert len(text) > 2 * cactusrank.problemfile._CHUNK
+    assert cactusrank.problemfile._parse_canonical(text.encode("ascii")) is not None
+    for bad, message in ((f"e {n - 2} {n - 2}\n", f"loop edge ({n - 2}, {n - 2})"),
+                         (f"e {n - 2} {n}\n", f"edge ({n - 2}, {n}) out of range")):
+        broken = text.replace(lines[-1], bad)
+        assert cactusrank.problemfile._parse_canonical(broken.encode("ascii")) is None
+        with pytest.raises(cr.GraphError) as exc:
+            cr.parse_string(broken)
+        with pytest.raises(cr.GraphError) as slow:
+            cactusrank.problemfile._parse_lines(broken)
+        # the last edge line is line n of the file
+        assert str(exc.value) == str(slow.value)
+        assert str(exc.value).startswith(f"line {n}: {message}"), exc.value
+
+
+def test_non_ascii_byte_reports_first_position():
+    for data, line, byte in ((b"\xe9n 2\ne 0 1\nd 0 0\n", 1, 0xE9),
+                             (b"n 2\ne 0 1\nd 0 \xff\xfe\n", 3, 0xFF),
+                             (b"n 2\ne 0 1\nd 0 0\n" + b" " * 100000 + b"\n\x80", 5, 0x80)):
+        with pytest.raises(cr.ParseError) as exc:
+            cr.parse_file(io.BytesIO(data))
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: non-ASCII byte 0x{byte:02x}"
+
+
+def test_vertex_count_beyond_the_id_range():
+    # edge ids are stored as C ints, so larger vertex counts are refused at
+    # the header rather than at the first edge
+    with pytest.raises(cr.ParseError) as exc:
+        cr.parse_string("n 3000000000\ne 0 2999999999\nd 0 0\n")
+    assert exc.value.line == 1
+
+
 def test_serialize_rejects_length_mismatch():
     g = cr.Multigraph(2, [(0, 1)])
     with pytest.raises(cr.GraphError):
