@@ -96,7 +96,8 @@ def _raw_scheme(g: Multigraph) -> RawScheme:
     an elimination order.
     """
     n = g.n
-    head, nxt, to = g._half_edges()
+    head, nxt = g._half_edges()
+    ends = g._ends
     seen = bytearray(n)
     # 0: the parent edge is a bridge; 1: a cycle claims it; 2: also the
     # cycle's child, whose cycle waits in cycles.  The root has no parent
@@ -135,7 +136,7 @@ def _raw_scheme(g: Multigraph) -> RawScheme:
         skip_parent = True
         h = head[x]
         while h >= 0:
-            y = to[h]
+            y = ends[h ^ 1]
             h = nxt[h]
             if not seen[y]:
                 push(y)

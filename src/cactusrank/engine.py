@@ -115,15 +115,14 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
         raise GraphError("divisor length mismatch")
     kinds, offs, verts, root = _raw_scheme(g)
     nsteps = len(kinds)
-    vals = list(f)
     cycles = kinds.count(1)
-    deg = sum(vals)
+    deg = sum(f)
 
     def residues_zero(sign: int) -> bool:
         # a degree-0 class is trivial iff every cycle's positional residue
         # is zero; chips funnel toward the root, entering each cycle at the
-        # position where their branch attaches.  sign 1 tests vals, sign -1
-        # tests K - vals, K the canonical divisor: K(u) + 2 is u's degree,
+        # position where their branch attaches.  sign 1 tests f, sign -1
+        # tests K - f, K the canonical divisor: K(u) + 2 is u's degree,
         # its own block's share (1 on an edge, 2 on a cycle) plus the shares
         # of the blocks hanging at u, which are handed down with their
         # chips.  On a cycle each vertex's share cancels its -2 and the
@@ -137,7 +136,7 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
             a = verts[lo]
             if kinds[t] == 0:
                 u = verts[lo + 1]
-                extra[a] = extra.get(a, 0) + sign * vals[u] + pop(u, 0)
+                extra[a] = extra.get(a, 0) + sign * f[u] + pop(u, 0)
             else:
                 k = hi - lo
                 s = 0
@@ -145,7 +144,7 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
                 pos = 1
                 for j in range(lo + 1, hi):
                     u = verts[j]
-                    w = sign * vals[u] + pop(u, 0)
+                    w = sign * f[u] + pop(u, 0)
                     s += w
                     res += pos * w
                     pos += 1
@@ -171,7 +170,7 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
     # the path DP.  best[v][c]: the most chips L = b + 2c that a path
     # through the blocks below v can lose with c <= deg + 1 charges, absent
     # for [0]; extra[v]: the chips handed down to v, so v ends with
-    # vals[v] + extra[v] - L chips.  Traced, log keeps per block the list at
+    # f[v] + extra[v] - L chips.  Traced, log keeps per block the list at
     # its attachment before it, its own list, its loaded positions and the
     # residue states after each.
     size = deg + 2
@@ -186,7 +185,7 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
         below = seq = None
         if kinds[t] == 0:
             u = verts[lo + 1]
-            s = vals[u] + pop(u, 0)
+            s = f[u] + pop(u, 0)
             p = take(u, None)
         else:
             k = offs[t + 1] - lo
@@ -195,7 +194,7 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
             below = []
             for j in range(1, k):
                 u = verts[lo + j]
-                w = vals[u] + pop(u, 0)
+                w = f[u] + pop(u, 0)
                 s += w
                 res += j * w
                 q = take(u, None)

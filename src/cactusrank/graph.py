@@ -124,33 +124,30 @@ class Multigraph:
             raise GraphError(f"vertex pair ({u}, {v}) out of range")
         return self.adjacency[u].get(v, 0)
 
-    def _half_edges(self) -> tuple[array, array, array]:
-        """Adjacency as linked lists of half-edges: (head, nxt, to).
+    def _half_edges(self) -> tuple[array, array]:
+        """Adjacency as linked lists of half-edges: (head, nxt).
 
         Edge i has half-edges 2i, leaving ends[2i], and 2i+1, leaving
-        ends[2i+1].  Half-edge h leads to vertex to[h]; nxt[h] is the next
-        half-edge leaving the same vertex, or -1, and head[v] is v's first
-        one, or -1.  A vertex's list runs from its last edge to its first.
-        One pass over the endpoints builds it; the connectivity check and the
-        block scan share it.
+        ends[2i+1], so half-edge h leads to vertex ends[h ^ 1].  nxt[h] is
+        the next half-edge leaving the same vertex, or -1, and head[v] is v's
+        first one, or -1.  A vertex's list runs from its last edge to its
+        first.  One pass over the endpoints builds it; the connectivity check
+        and the block scan share it.
         """
         if self._links is None:
             ends = self._ends
-            zeros = bytes(4 * len(ends))
-            to = array("i", zeros)
-            to[0::2] = ends[1::2]
-            to[1::2] = ends[0::2]
-            nxt = array("i", zeros)
+            nxt = array("i", [0]) * len(ends)
             head = array("i", [-1]) * self.n
             for h, v in enumerate(ends):
                 nxt[h] = head[v]
                 head[v] = h
-            self._links = (head, nxt, to)
+            self._links = (head, nxt)
         return self._links
 
     def is_connected(self) -> bool:
         if self._connected is None:
-            head, nxt, to = self._half_edges()
+            head, nxt = self._half_edges()
+            ends = self._ends
             seen = bytearray(self.n)
             seen[0] = 1
             stack = [0]
@@ -158,7 +155,7 @@ class Multigraph:
             while stack:
                 h = head[stack.pop()]
                 while h >= 0:
-                    y = to[h]
+                    y = ends[h ^ 1]
                     if not seen[y]:
                         seen[y] = 1
                         reached += 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from itertools import islice
+from itertools import chain, islice
 from operator import eq
 from typing import BinaryIO, TextIO, Union
 
@@ -37,18 +37,42 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+# long text is read this many bytes (or characters) at a time, each run
+# extended to its next separator, so no list holds more than one run's worth
+_CHUNK = 1 << 18
+
+
+def _runs(buf, lo: int, end: int, sep):
+    """(lo, hi) spans tiling buf[lo:end]: each is at least _CHUNK long and
+    ends just after a sep, except the last, which ends at end."""
+    while lo < end:
+        hi = buf.find(sep, lo + _CHUNK - 1, end) + 1 or end
+        yield lo, hi
+        lo = hi
+
+
+def _lines(text: str):
+    r"""The lines of text, as text.splitlines() gives them, split a run at a
+    time: "\n" ends every line break it is part of, so a run that ends just
+    after one ends a line."""
+    for lo, hi in _runs(text, 0, len(text), "\n"):
+        yield from text[lo:hi].splitlines()
+
+
 def _parse_lines(text: str):
     n = None
     ends = array("i")
     add_end = ends.append
     divisor = None
     last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_lines(text), 1):
         last_line = lineno
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
+        # enough parts to check an n or an e line; the divisor line is split
+        # below, a run at a time
+        parts = line.split(None, 3)
         tag = parts[0]
         if tag == "n":
             if n is not None:
@@ -85,8 +109,10 @@ def _parse_lines(text: str):
                 raise ParseError("divisor before n header", lineno)
             if divisor is not None:
                 raise ParseError("duplicate divisor line", lineno)
+            # split a run at a time; a space never falls inside an entry
             try:
-                divisor = [int(t) for t in parts[1:]]
+                divisor = Divisor(map(int, chain.from_iterable(
+                    line[lo:hi].split() for lo, hi in _runs(line, 1, len(line), " "))))
             except ValueError:
                 raise ParseError("divisor entries must be integers", lineno) from None
             if len(divisor) != n:
@@ -103,17 +129,16 @@ def _parse_lines(text: str):
 
 
 _DIGITS = b"0123456789-"
-# translated, put after "[0" and closed with "]", a run of canonical lines
-# is one JSON list: "e u v\ne x y\n" reads "[0 ,u,v  ,x,y ]" and "d x y\n"
-# reads "[0 ,x,y ]", one comma per space of the text
-_ITEMS = bytes.maketrans(b" \ned", b",   ")
-# the edge lines are decoded this many bytes at a time, each run extended to
-# the end of its last line, so no list holds more than one run's numbers
-_CHUNK = 1 << 18
+# translated, put after "[0" and closed with "]", a run of canonical edge
+# lines, or a stretch of the divisor line from a space to a space, is one
+# JSON list: "e u v\ne x y\n" reads "[0 ,u,v  ,x,y ]" and " x y" reads
+# "[0,x,y]", one comma per space of the text
+_ITEMS = bytes.maketrans(b" \ne", b",  ")
 
 
 def _items(data: bytes, lo: int, hi: int) -> list:
-    # the numbers of data[lo:hi], which starts a line and ends one
+    # the numbers of data[lo:hi], whole edge lines or a stretch of the
+    # divisor line that starts and ends at a space (or at its end)
     items = json.loads("".join(("[0", data[lo:hi].translate(_ITEMS).decode("ascii"), "]")))
     del items[0]
     return items
@@ -126,9 +151,11 @@ def _parse_canonical(data: bytes):
     With the digits and minus signs deleted, the text must read
     "n \n" + "e  \n" * m + "d " + " " * (n - 1) + "\n", and every "e" and
     "d" must start its line.  The C JSON decoder then reads the numbers a
-    run of lines at a time and rejects an empty or malformed one.  Each
-    run's endpoints are range- and loop-checked and go straight into one
-    array, so no per-edge Python object outlives its run.
+    run at a time and rejects an empty or malformed one: the divisor line
+    in runs that end at a space, straight into the Divisor, then the edge
+    lines in runs of whole lines.  Each run's endpoints are range- and
+    loop-checked and go straight into one array, so no per-edge Python
+    object outlives its run.
     """
     hdr = data.find(b"\n")
     if data[:2] != b"n " or not data[2:hdr].isdigit() or data[-1:] != b"\n":
@@ -145,17 +172,18 @@ def _parse_canonical(data: bytes):
     if data.find(b"-", hdr, div) >= 0:
         return None  # the line parser reports it with its line number
     ends = array("i")
-    lo = hdr + 1
     try:
-        while lo < div:
-            hi = data.find(b"\n", min(lo + _CHUNK, div) - 1) + 1
+        # a run of entries ends just after a space, the last just after the
+        # newline, so one byte earlier it runs from a space to a space
+        # (the last to the newline)
+        divisor = Divisor(chain.from_iterable(
+            _items(data, lo - 1, hi - 1) for lo, hi in _runs(data, div + 2, len(data), b" ")))
+        for lo, hi in _runs(data, hdr + 1, div, b"\n"):
             items = _items(data, lo, hi)
             if max(items) >= n or any(map(eq, islice(items, 0, None, 2),
                                           islice(items, 1, None, 2))):
                 return None  # likewise
             ends.fromlist(items)
-            lo = hi
-        divisor = _items(data, div, len(data))
     except ValueError:  # an empty or malformed number
         return None
     return n, ends, divisor
@@ -173,7 +201,7 @@ def _parse_bytes(data: bytes, check_connected: bool):
     g = Multigraph._from_ends(n, ends)
     if check_connected and not g.is_connected():
         raise DisconnectedGraphError("graph in file is disconnected")
-    return g, Divisor(divisor)
+    return g, divisor
 
 
 def parse_string(text: str, *, check_connected: bool = True):

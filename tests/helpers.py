@@ -219,13 +219,17 @@ def rank_witness(g: cr.Multigraph, f, res: cr.RankResult) -> list[int]:
     return e
 
 
+# the environment of a child interpreter that imports cactusrank from this
+# checkout's src/, whether or not the test process found it on PYTHONPATH
+CHILD_ENV = dict(os.environ)
+CHILD_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(__file__).resolve().parents[1] / "src"), CHILD_ENV.get("PYTHONPATH"))))
+
+
 def run_fresh(code: str, *args: str) -> str:
     """stdout of `python -c code *args` in a new interpreter that imports
     cactusrank from this checkout's src/; fails the test on a non-zero exit."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=CHILD_ENV,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

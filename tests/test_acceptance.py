@@ -20,7 +20,7 @@ import cactusrank as cr
 from cactusrank import Goodness
 from cactusrank.cli import main
 
-from .helpers import cli_peak_rss_mb, cycle_graph, prufer_tree, random_tree
+from .helpers import CHILD_ENV, cli_peak_rss_mb, cycle_graph, prufer_tree, random_tree
 
 
 def rk(g, f):
@@ -191,6 +191,7 @@ def test_criterion_6_linear_time_benchmark(tmp_path):
             t0 = time.perf_counter()
             proc = subprocess.run(
                 [sys.executable, "-m", "cactusrank", "rank", path],
+                env=CHILD_ENV,
                 capture_output=True,
                 text=True,
             )
@@ -212,9 +213,13 @@ def test_criterion_6_linear_time_benchmark(tmp_path):
 
 def test_rank_peak_rss(tmp_path):
     # criterion 6's file at 2^20 is 21 MB.  The parse and the block scan
-    # keep their numbers in typed arrays, so no structure holds an int
-    # object per edge or per block; on a 2-vCPU Xeon VM (CPython 3.11.7)
-    # the peak measured 80 MB, and 176 MB with lists of ints.
+    # keep their numbers in typed arrays and hold one copy of each, so no
+    # structure holds an int object per edge or per block; on a 2-vCPU Xeon
+    # VM (CPython 3.11.7) the peak measured 64 MB, against 80 MB with a copy
+    # of the divisor, a far-end array and a list behind the divisor, and
+    # 176 MB with lists of ints.  The same file with CRLF line ends goes to
+    # the line parser, which reads it a run at a time: 90 MB, against
+    # 197 MB with every line held at once.
     n = 2 ** 20
     cycles = n // 8
     path = tmp_path / "bench_20.txt"
@@ -222,9 +227,13 @@ def test_rank_peak_rss(tmp_path):
         subprocess.run([sys.executable, "-m", "cactusrank", "gen", "--vertices", str(n),
                         "--cycles", str(cycles), "--max-cycle-len", "8",
                         "--divisor-degree", str(2 * cycles - 2), "--seed", "101"],
-                       stdout=fh, check=True)
+                       stdout=fh, env=CHILD_ENV, check=True)
     peak = cli_peak_rss_mb("rank", str(path))
-    assert peak < 110, f"peak RSS {peak:.1f} MB"
+    assert peak < 75, f"peak RSS {peak:.1f} MB"
+    crlf = tmp_path / "bench_20_crlf.txt"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    peak = cli_peak_rss_mb("rank", str(crlf))
+    assert peak < 150, f"peak RSS {peak:.1f} MB with CRLF line ends"
 
 
 def test_midband_polynomial_time():

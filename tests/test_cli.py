@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import cactusrank as cr
 from cactusrank.cli import main
 
-from .helpers import run_fresh
+from .helpers import CHILD_ENV, run_fresh
 
 TRIANGLE_GOOD = "n 3\ne 0 1\ne 1 2\ne 2 0\nd 1 -2 1\n"
 TRIANGLE_PENDANT = "n 4\ne 0 1\ne 1 2\ne 2 0\ne 2 3\nd 0 0 0 0\n"
@@ -177,6 +177,7 @@ def test_module_entry_point(tmp_path):
     path = write(tmp_path, "t.txt", TRIANGLE_GOOD)
     proc = subprocess.run(
         [sys.executable, "-m", "cactusrank", "rank", path],
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
     )

@@ -1,5 +1,6 @@
 import random
 import sys
+from array import array
 
 import pytest
 
@@ -289,6 +290,26 @@ def test_engine_leaves_no_state_behind():
             assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(before)
+
+
+def test_rank_reads_any_sequence_in_place():
+    # rank reads f where it lies, without a copy, so every integer sequence
+    # gives the same answer and trace, and none is changed; half the inputs
+    # are in the degree band, where the path DP reads f
+    rng = random.Random(20161)
+    for i in range(200):
+        g = random_cactus(rng, max_n=12, max_genus=5)
+        gn = cr.genus(g)
+        if i % 2 and gn >= 2:
+            base = _in_band_divisor(rng, g, gn)
+        else:
+            base = random_divisor(rng, g.n)
+        want = cr.rank(g, cr.Divisor(base), trace=True)
+        for f in (cr.Divisor(base), tuple(base), list(base), array("i", base)):
+            before = f[:]
+            assert cr.rank(g, f, trace=True) == want, (g.edges, base, type(f))
+            assert cr.rank(g, f).rank == want.rank
+            assert f == before
 
 
 def test_deep_chain_of_cycles():

@@ -49,6 +49,7 @@ def test_comments_and_blank_lines_ignored():
     g, f = cr.parse_string(text)
     gc, fc = cr.parse_string(CANON)
     assert g == gc and f == fc
+    assert type(f) is type(fc) is cr.Divisor
 
 
 def test_whitespace_tolerated():
@@ -152,6 +153,10 @@ AGREE_CASES = [
     ("n 3\ne 0 1 \n2 e 1 2\nd 0 0 0\n", False),  # endpoint moved to the next line
     ("n 3\ne 0 \n1e 1 2\nd 0 0 0\n", False),  # endpoint moved before the next "e"
     ("n 3\ne 0 1\ne 1 \n2d 0 0 0\n", False),  # endpoint moved before the "d"
+    ("n 4\ne 0 1\ne 1 2\ne 2 3\nd -12 345 -6789 10\n", True),  # multi-digit chips
+    ("n 4\ne 0 1\ne 1 2\ne 2 3\nd -123456 -7 0 98765\n", True),  # a long first chip
+    ("n 4\ne 0 1\ne 1 2\ne 2 3\nd -12 345 -67-89 10\n", False),  # a minus inside a chip
+    ("n 4\ne 0 1\ne 1 2\ne 2 3\nd -12 345 -6789 -\n", False),  # a bare minus, last
 ]
 
 
@@ -184,10 +189,25 @@ def test_fast_and_slow_paths_agree():
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_fast_path_chunk_boundaries(monkeypatch, chunk):
     # the fast path decodes its edge lines in runs of _CHUNK bytes, each
-    # extended to the end of its line: 1 makes every line a run of its own,
-    # 7 puts two of the 6-byte lines "e u v\n" in one run
+    # extended to the end of its line, and its divisor line in runs that end
+    # at a space; the line parser reads its text and its divisor line in runs
+    # too.  1 makes every line and every chip a run of its own; 7 puts two of
+    # the 6-byte lines "e u v\n" in one run, and "-12 345 " in one
     monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
     test_fast_and_slow_paths_agree()
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_line_runs_split_as_splitlines(monkeypatch, chunk):
+    monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
+    breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+    texts = ["", "\n", "\n\n\n", "n 2", "n 2\n\ne 0 1\r\n\r\nd 0 0",
+             "a\rb\nc\r\n\rd\r", "\r\n\r\r\n\n\r"]
+    texts += [f"line one{b}{b}line two {b}x" for b in breaks]
+    texts.append("".join(f"{i}{b}" for i, b in enumerate(breaks * 3)))
+    texts.append("".join(breaks) + "".join(reversed(breaks)) + "end")
+    for text in texts:
+        assert list(cactusrank.problemfile._lines(text)) == text.splitlines(), repr(text)
 
 
 def test_fast_path_defers_errors_in_its_last_run():
@@ -208,6 +228,27 @@ def test_fast_path_defers_errors_in_its_last_run():
         # the last edge line is line n of the file
         assert str(exc.value) == str(slow.value)
         assert str(exc.value).startswith(f"line {n}: {message}"), exc.value
+
+
+def test_fast_path_defers_divisor_errors_in_its_last_run():
+    # chips of 15 bytes each make the divisor line span several runs
+    n = 40000
+    lines = [f"e {i} {i + 1}\n" for i in range(n - 1)]
+    chips = [str(-10 ** 13 - i) for i in range(n)]
+    head = "".join([f"n {n}\n", *lines, "d "])
+    text = head + " ".join(chips) + "\n"
+    assert len(text) - len(head) > 2 * cactusrank.problemfile._CHUNK
+    _, f = cr.parse_string(text)
+    assert tuple(f) == tuple(map(int, chips))
+    assert cactusrank.problemfile._parse_canonical(text.encode("ascii")) is not None
+    for bad in ("-1-2", "-"):
+        broken = head + " ".join(chips[:-1] + [bad]) + "\n"
+        assert cactusrank.problemfile._parse_canonical(broken.encode("ascii")) is None
+        with pytest.raises(cr.ParseError) as exc:
+            cr.parse_string(broken)
+        # the divisor line follows the header and n - 1 edge lines
+        assert exc.value.line == n + 1
+        assert str(exc.value) == f"line {n + 1}: divisor entries must be integers"
 
 
 def test_non_ascii_byte_reports_first_position():
