@@ -68,9 +68,9 @@ def tree_rank(g: Multigraph, f: Sequence[int]) -> int:
 def _check_free(g: Multigraph, block: Block, attach: int) -> None:
     if len(set(block.vertices)) != len(block.vertices):
         raise GraphError("block vertices must be distinct")
-    if not all(0 <= v < g.n for v in block.vertices):
+    if not all(isinstance(v, int) and 0 <= v < g.n for v in block.vertices):
         raise GraphError("block vertex out of range")
-    if not _free_block_shape(g.adjacency, list(g.degrees), block.vertices, attach, block.kind):
+    if not _free_block_shape(g.adjacency, g.degrees, block.vertices, attach, block.kind):
         raise GraphError(f"block is not free at vertex {attach}")
 
 

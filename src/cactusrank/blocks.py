@@ -183,22 +183,12 @@ def _wrap_blocks(raw: RawScheme) -> tuple[Block, ...]:
 
 def block_decomposition(g: Multigraph) -> BlockDecomposition:
     """Blocks, cut vertices, and the edge-to-block map of a cactus."""
-    raw = _raw_scheme(g)
-    blocks = _wrap_blocks(raw)
+    blocks = _wrap_blocks(_raw_scheme(g))
     count = [0] * g.n
-    pair_to_block = {}
-    for bi, b in enumerate(blocks):
-        vs = b.vertices
-        for v in vs:
+    for b in blocks:
+        for v in b.vertices:
             count[v] += 1
-        if b.kind is BlockKind.EDGE or len(vs) == 2:
-            u, v = vs
-            pair_to_block[(u, v) if u <= v else (v, u)] = bi
-        else:
-            k = len(vs)
-            for i in range(k):
-                u, v = vs[i], vs[(i + 1) % k]
-                pair_to_block[(u, v) if u <= v else (v, u)] = bi
+    pair_to_block = {e: bi for bi, b in enumerate(blocks) for e in _block_edges(*b)}
     boe = tuple(
         pair_to_block[(u, v) if u <= v else (v, u)] for u, v in g.edges
     )
@@ -215,26 +205,31 @@ def build_bes(g: Multigraph) -> BlockEliminationScheme:
     return BlockEliminationScheme(steps, raw.root)
 
 
-def _free_block_shape(adj, deg, vs: tuple[int, ...], a: int, kind: BlockKind) -> bool:
-    """Is (vs, a) a free edge/cycle block of the graph given by adj/deg?"""
+def _block_edges(kind: BlockKind, vs) -> list:
+    """The edges of a block as sorted vertex pairs: a bridge's one edge, the
+    parallel pair of a 2-cycle twice, the sides of a longer cycle in ring
+    order."""
+    ring = vs[1:2] if kind is BlockKind.EDGE else (*vs[1:], vs[0])
+    return [(u, v) if u <= v else (v, u) for u, v in zip(vs, ring)]
+
+
+def _free_block_shape(adj, deg, vs, a: int, kind: BlockKind) -> bool:
+    """Is (vs, a) a free edge/cycle block of the graph given by adj/deg?
+    adj must hold each of its edges exactly as often as the block lists it,
+    and every vertex but a must have all of its ends inside the block."""
     if a not in vs or len(set(vs)) != len(vs):
         return False
-    if kind is BlockKind.EDGE:
-        if len(vs) != 2:
-            return False
-        u = vs[0] if vs[1] == a else vs[1]
-        return adj[u].get(a, 0) == 1 and deg[u] == 1
-    k = len(vs)
-    if k < 2:
+    if len(vs) != 2 if kind is BlockKind.EDGE else len(vs) < 2:
         return False
-    if k == 2:
-        u = vs[0] if vs[1] == a else vs[1]
-        return adj[u].get(a, 0) == 2 and deg[u] == 2
-    for i in range(k):
-        u, v = vs[i], vs[(i + 1) % k]
-        if adj[u].get(v, 0) != 1:
-            return False
-    return all(deg[u] == 2 for u in vs if u != a)
+    count = {}
+    inside = dict.fromkeys(vs, 0)
+    for e in _block_edges(kind, vs):
+        count[e] = count.get(e, 0) + 1
+        u, v = e
+        inside[u] += 1
+        inside[v] += 1
+    return (all(adj[u].get(v, 0) == m for (u, v), m in count.items())
+            and all(deg[u] == inside[u] for u in vs if u != a))
 
 
 def validate_bes(g: Multigraph, scheme: BlockEliminationScheme) -> bool:
@@ -253,21 +248,9 @@ def validate_bes(g: Multigraph, scheme: BlockEliminationScheme) -> bool:
                 return False
             if not _free_block_shape(adj, deg, vs, a, step.block.kind):
                 return False
-            if step.block.kind is BlockKind.EDGE:
-                u = vs[0] if vs[1] == a else vs[1]
-                pairs = [(a, u)]
-            elif len(vs) == 2:
-                u = vs[0] if vs[1] == a else vs[1]
-                pairs = [(a, u), (a, u)]
-            else:
-                k = len(vs)
-                pairs = [(vs[i], vs[(i + 1) % k]) for i in range(k)]
-            for u, v in pairs:
+            for u, v in _block_edges(step.block.kind, vs):
                 adj[u][v] -= 1
                 adj[v][u] -= 1
-                if adj[u][v] == 0:
-                    del adj[u][v]
-                    del adj[v][u]
                 deg[u] -= 1
                 deg[v] -= 1
                 live_edges -= 1

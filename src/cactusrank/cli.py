@@ -76,14 +76,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bes(args) -> int:
-    from .blocks import BlockKind, build_bes
+    from .blocks import build_bes
 
     g, _ = parse_file(args.file, check_connected=False)
     scheme = build_bes(g)
     for i, step in enumerate(scheme.steps, 1):
-        kind = "edge" if step.block.kind is BlockKind.EDGE else "cycle"
         vs = " ".join(map(str, step.block.vertices))
-        print(f"step {i} block {kind} [{vs}] attach {step.attach}")
+        print(f"step {i} block {step.block.kind.value} [{vs}] attach {step.attach}")
     print(f"root {scheme.root}")
     return 0
 
@@ -161,7 +160,7 @@ def main(argv=None) -> int:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     except NotCactusError as e:
-        print(f"not a cactus: edge {e.edge} lies on a second cycle", file=sys.stderr)
+        print(e, file=sys.stderr)
         return 4
     except OracleLimitError as e:
         print(f"oracle guard: {e}", file=sys.stderr)

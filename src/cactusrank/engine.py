@@ -46,12 +46,17 @@ by flipping a cycle above.  Made bad, the cycle loses one more chip, and
 and (c + 1, L + 2).  Made good, its skip side keeps the L + 1 the bad cycle
 had.  Within a cycle the same holds per residue, so a cycle combines its
 vertices' lists position by position, one list per residue.  The all-skip
-path has value max(D - b, -1) <= D, so a path with c - 1 > D never wins and
-no list runs past c = D + 1.  The DP is polynomial, not linear: the lists
-grow with the cycles below a vertex, and merging two costs the product of
-their lengths.  At degree g - 1 on the generator's family (n/8 cycles of
-length up to 8, seed 101) it takes 4.0 ms at n = 2^10, 17 ms at 2^12,
-69 ms at 2^14 and 0.57 s at 2^16 (2-vCPU Xeon VM, CPython 3.11.7).
+path has value max(D - b, -1) <= D, and a path with c > D charges is worth
+at least c - 1 >= D, so it never wins (a tie goes to the smaller c) and no
+list runs past c = D.  The charge counts reachable below a vertex run
+0..max with no gap: a merge adds two such ranges, a bad cycle keeps its
+range, and a good one's skip side keeps it while its charged side gives
+1..max+1.  So only a cycle's per-residue lists can hold an unreachable
+count.  The DP is polynomial, not linear: the lists grow with the cycles
+below a vertex, and merging two costs the product of their lengths.  At
+degree g - 1 on the generator's family (n/8 cycles of length up to 8, seed
+101) it takes 4.0 ms at n = 2^10, 17 ms at 2^12, 69 ms at 2^14 and 0.57 s
+at 2^16 (2-vCPU Xeon VM, CPython 3.11.7).
 
 With trace=True the pass also keeps each cycle's residue states, position
 by position, and both operands of each merge at a vertex, then reads the
@@ -94,7 +99,8 @@ class RankResult(NamedTuple):
 def _raise(out: list, xs: list, c: int, lost: int, size: int) -> None:
     """out[c + i] = max(out[c + i], xs[i] + lost) for every c + i < size,
     growing out.  Lists hold the most chips lost with each number of
-    charges, -inf where that number cannot be reached."""
+    charges.  A residue state's list holds -inf where its residue cannot be
+    reached with that number; a vertex's list has no such holes."""
     end = min(c + len(xs), size)
     if len(out) < end:
         out.extend([_UNREACHABLE] * (end - len(out)))
@@ -168,12 +174,12 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
                           if trace else None)
 
     # the path DP.  best[v][c]: the most chips L = b + 2c that a path
-    # through the blocks below v can lose with c <= deg + 1 charges, absent
+    # through the blocks below v can lose with c <= deg charges, absent
     # for [0]; extra[v]: the chips handed down to v, so v ends with
     # f[v] + extra[v] - L chips.  Traced, log keeps per block the list at
     # its attachment before it, its own list, its loaded positions and the
     # residue states after each.
-    size = deg + 2
+    size = deg + 1
     extra: dict = {}
     best: dict = {}
     pop = extra.pop
@@ -209,12 +215,11 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
                 nxt: dict = {}
                 for r, xs in states.items():
                     for c, lost in enumerate(q):
-                        if lost >= 0:
-                            key = (r - j * lost) % k
-                            out = nxt.get(key)
-                            if out is None:
-                                out = nxt[key] = []
-                            _raise(out, xs, c, lost, size)
+                        key = (r - j * lost) % k
+                        out = nxt.get(key)
+                        if out is None:
+                            out = nxt[key] = []
+                        _raise(out, xs, c, lost, size)
                 states = nxt
                 if seq is not None:
                     seq.append(states)
@@ -236,14 +241,12 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
                 x, y = (q, p) if len(q) < len(p) else (p, q)
                 out = []
                 for c, lost in enumerate(x):
-                    if lost >= 0:
-                        _raise(out, y, c, lost, size)
+                    _raise(out, y, c, lost, size)
                 best[a] = out
         if log is not None:
             log.append((q, p, below, seq))
     ends = best.get(root, [0])
-    r, c = min((max(deg - lost + c, c - 1), c)
-               for c, lost in enumerate(ends) if lost >= 0)
+    r, c = min((max(deg - lost + c, c - 1), c) for c, lost in enumerate(ends))
     if log is None:
         return RankResult(r)
 
@@ -277,10 +280,9 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
         for (j, q), states in zip(reversed(below), reversed(seq[:-1])):
             # losing x chips at position j took j * x off the residue
             for c2, x in enumerate(q):
-                if x >= 0:
-                    xs = states.get((res + j * x) % k, ())
-                    if 0 <= c - c2 < len(xs) and xs[c - c2] + x == lost:
-                        break
+                xs = states.get((res + j * x) % k, ())
+                if 0 <= c - c2 < len(xs) and xs[c - c2] + x == lost:
+                    break
             need[verts[lo + j]] = (c2, x)
             res, c, lost = (res + j * x) % k, c - c2, lost - x
     names = {(0, 0): ("edge", None, None), (1, 1): ("cycle", "bad", None),

@@ -51,21 +51,21 @@ def _runs(buf, lo: int, end: int, sep):
         lo = hi
 
 
-def _lines(text: str):
-    r"""The lines of text, as text.splitlines() gives them, split a run at a
-    time: "\n" ends every line break it is part of, so a run that ends just
-    after one ends a line."""
-    for lo, hi in _runs(text, 0, len(text), "\n"):
-        yield from text[lo:hi].splitlines()
+def _lines(data: bytes):
+    r"""The lines of the ASCII bytes data, as data.decode().splitlines()
+    gives them, decoded and split a run at a time: "\n" ends every line
+    break it is part of, so a run that ends just after one ends a line."""
+    for lo, hi in _runs(data, 0, len(data), b"\n"):
+        yield from data[lo:hi].decode("ascii").splitlines()
 
 
-def _parse_lines(text: str):
+def _parse_lines(data: bytes):
     n = None
     ends = array("i")
     add_end = ends.append
     divisor = None
     last_line = 0
-    for lineno, raw in enumerate(_lines(text), 1):
+    for lineno, raw in enumerate(_lines(data), 1):
         last_line = lineno
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -197,7 +197,7 @@ def _parse_bytes(data: bytes, check_connected: bool):
             raise ParseError(f"non-ASCII byte 0x{data[e.start]:02x}",
                              data.count(b"\n", 0, e.start) + 1) from None
     parsed = _parse_canonical(data)
-    n, ends, divisor = parsed or _parse_lines(data.decode("ascii"))
+    n, ends, divisor = parsed or _parse_lines(data)
     g = Multigraph._from_ends(n, ends)
     if check_connected and not g.is_connected():
         raise DisconnectedGraphError("graph in file is disconnected")

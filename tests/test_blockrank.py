@@ -180,3 +180,40 @@ def test_block_operators_reject_non_free_blocks():
         cr.contract_divisor(g, [0, 0, 0, 0], Block(BlockKind.EDGE, (2, 3)), 0)
     with pytest.raises(cr.GraphError):
         cr.zero_part(g, [0, 0, 0], Block(BlockKind.EDGE, (2, 3)), 2)
+    edge, cyc = BlockKind.EDGE, BlockKind.CYCLE
+    cases = [
+        # a 2-cycle listed as an edge
+        (cycle_graph(2), Block(edge, (0, 1)), 0),
+        # a bridge listed as a 2-cycle
+        (path_graph(2), Block(cyc, (0, 1)), 0),
+        # an attachment outside the block
+        (path_graph(3), Block(edge, (1, 2)), 0),
+        # a repeated vertex
+        (cycle_graph(3), Block(cyc, (0, 1, 2, 0)), 0),
+        # a cycle of one vertex
+        (path_graph(1), Block(cyc, (0,)), 0),
+        # an edge block with three vertices
+        (path_graph(3), Block(edge, (0, 1, 2)), 0),
+        # a non-attachment vertex with an edge outside the block
+        (g, Block(edge, (2, 3)), 3),
+        # a cycle listed without one of its sides
+        (path_graph(3), Block(cyc, (0, 1, 2)), 0),
+        (cycle_graph(4), Block(cyc, (0, 1, 3, 2)), 0),
+    ]
+    for graph, block, attach in cases:
+        for op in (cr.contract_divisor, cr.zero_part):
+            with pytest.raises(cr.GraphError):
+                op(graph, [0] * graph.n, block, attach)
+    # the listings these cases tamper with are free
+    assert cr.contract_divisor(cycle_graph(2), [1, 2], Block(cyc, (0, 1)), 0) == (3,)
+    assert cr.contract_divisor(path_graph(2), [1, 2], Block(edge, (0, 1)), 0) == (3,)
+    assert cr.contract_divisor(cycle_graph(4), [1, 2, 3, 4], Block(cyc, (0, 1, 2, 3)), 0) == (10,)
+
+
+def test_block_operators_reject_non_integer_vertices():
+    # a vertex id that is not an int is a GraphError, as in validate_bes
+    g = path_graph(2)
+    for vs in ((0, 1.0), (0, "1"), (0, None)):
+        for op in (cr.contract_divisor, cr.zero_part):
+            with pytest.raises(cr.GraphError):
+                op(g, [0, 0], Block(BlockKind.EDGE, vs), 0)

@@ -146,6 +146,36 @@ def test_validate_bes_rejects_tampered_block():
         scheme.steps[1],
     )
     assert not cr.validate_bes(g, BlockEliminationScheme(bad, scheme.root))
+    edge, cyc = BlockKind.EDGE, BlockKind.CYCLE
+    pendant = BesStep(Block(edge, (2, 3)), 2)
+    triangle = BesStep(Block(cyc, (0, 1, 2)), 0)
+    assert scheme.steps == (pendant, triangle)
+    double = cr.Multigraph(3, [(0, 1), (0, 1), (1, 2)])
+    tail = BesStep(Block(edge, (1, 2)), 1)
+    assert cr.validate_bes(double, BlockEliminationScheme(
+        (tail, BesStep(Block(cyc, (0, 1)), 0)), 0))
+    tampered = [
+        # a 2-cycle listed as an edge
+        (double, (tail, BesStep(Block(edge, (0, 1)), 0))),
+        # a bridge listed as a 2-cycle
+        (g, (BesStep(Block(cyc, (2, 3)), 2), triangle)),
+        # an attachment outside the block
+        (g, (BesStep(Block(edge, (2, 3)), 0), triangle)),
+        # a repeated vertex
+        (g, (pendant, BesStep(Block(cyc, (0, 1, 2, 0)), 0))),
+        # a cycle of one vertex
+        (g, (pendant, BesStep(Block(cyc, (0,)), 0), triangle)),
+        # an edge block with three vertices
+        (g, (pendant, BesStep(Block(edge, (0, 1, 2)), 0))),
+        # a non-attachment vertex with an edge outside the block
+        (g, (BesStep(Block(edge, (2, 3)), 3), triangle)),
+        (g, (triangle, pendant)),
+        # a cycle listed without one of its sides
+        (path_graph(3), (BesStep(Block(cyc, (0, 1, 2)), 0),)),
+        (cycle_graph(4), (BesStep(Block(cyc, (0, 1, 3, 2)), 0),)),
+    ]
+    for graph, steps in tampered:
+        assert not cr.validate_bes(graph, BlockEliminationScheme(steps, 0)), steps
 
 
 def test_validate_bes_accepts_rotated_cycle_listing():
