@@ -22,7 +22,7 @@ import enum
 from typing import Sequence
 
 from .graph import Divisor, GraphError, Multigraph
-from .blocks import Block, _free_block_shape
+from .blocks import Block, _block_edges, _free_block_shape
 
 
 class Goodness(enum.Enum):
@@ -70,7 +70,8 @@ def _check_free(g: Multigraph, block: Block, attach: int) -> None:
         raise GraphError("block vertices must be distinct")
     if not all(isinstance(v, int) and 0 <= v < g.n for v in block.vertices):
         raise GraphError("block vertex out of range")
-    if not _free_block_shape(g.adjacency, g.degrees, block.vertices, attach, block.kind):
+    vs, kind = block.vertices, block.kind
+    if not _free_block_shape(g.adjacency, g.degrees, vs, attach, kind, _block_edges(kind, vs)):
         raise GraphError(f"block is not free at vertex {attach}")
 
 

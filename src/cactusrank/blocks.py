@@ -3,20 +3,23 @@
 A cactus is a connected graph in which every block (maximal subgraph with no
 cut vertex) is a single edge or a simple cycle; equivalently, no edge lies on
 two distinct simple cycles.  One depth-first scan recognizes the property,
-extracts every block with its cyclic vertex order, and emits the blocks in an
-order that is already a valid elimination scheme: each block is contracted
-into its attachment vertex only after everything hanging below it is gone.
+extracts every block with its cyclic vertex order, and yields the blocks in
+an order that is already a valid elimination scheme: each block is
+contracted into its attachment vertex only after everything hanging below
+it is gone.
 
-The scan works on the graph's linked half-edge arrays and is shared by the
-public object API here and by the rank engine (which consumes the raw arrays
-directly to avoid building a million small objects).
+The scan works on the graph's linked half-edge arrays and yields each block
+as it finishes, as a kind and a tuple or list of vertices.  The public
+object API here builds its records from that stream; the rank engine folds
+each block in as it arrives, so no scheme is stored.  A graph that is not a
+cactus raises where the scan finds a second cycle through an edge, and a
+disconnected one once the scan is exhausted: a consumer must read the
+stream to its end.
 """
 
 from __future__ import annotations
 
 import enum
-from array import array
-from itertools import accumulate
 from typing import NamedTuple
 
 from .graph import DisconnectedGraphError, Multigraph, NotCactusError
@@ -63,20 +66,13 @@ class BlockDecomposition(NamedTuple):
     block_of_edge: tuple[int, ...]
 
 
-class RawScheme(NamedTuple):
-    """Flat elimination order: block t has kind kinds[t] (0 edge, 1 cycle)
-    and vertices verts[offs[t]:offs[t+1]] with the attachment first.  offs
-    and verts are C-int arrays, so the scheme holds no int object per block
-    or vertex."""
-
-    kinds: bytes
-    offs: array
-    verts: array
-    root: int
-
-
-def _raw_scheme(g: Multigraph) -> RawScheme:
-    """One iterative DFS from vertex 0 producing blocks in elimination order.
+def _scan(g: Multigraph):
+    """One iterative DFS from vertex 0 yielding (kind, vs) for each block in
+    elimination order: kind 0 and vs = (parent, child) for a bridge, kind 1
+    and vs the cycle's vertices in ring order for a cycle, the attachment
+    first.  Raises NotCactusError where an edge closes a second cycle, and
+    DisconnectedGraphError once the scan ends short of some vertex, so a
+    caller that stops early learns neither.
 
     A visit pushes a marker (-1) and then every unvisited neighbor, the first
     neighbor in edge order last, so vertices are visited in the order of the
@@ -92,7 +88,7 @@ def _raw_scheme(g: Multigraph) -> RawScheme:
 
     Each block has a child: the bridge's lower end, or the cycle's vertex
     after its attachment.  Everything hanging below a block lies in its
-    child's subtree, so emitting each block when its child's marker pops is
+    child's subtree, so yielding each block when its child's marker pops is
     an elimination order.
     """
     n = g.n
@@ -101,14 +97,10 @@ def _raw_scheme(g: Multigraph) -> RawScheme:
     seen = bytearray(n)
     # 0: the parent edge is a bridge; 1: a cycle claims it; 2: also the
     # cycle's child, whose cycle waits in cycles.  The root has no parent
-    # edge and emits nothing.
+    # edge and yields nothing.
     claimed = bytearray(n)
     claimed[0] = 1
     cycles: dict = {}
-    verts = array("i")
-    add_vert = verts.append
-    sizes = array("i")  # per block: its length, negated for an edge
-    add_size = sizes.append
     path = [-1]
     enter, leave = path.append, path.pop
     stack = [0]
@@ -119,13 +111,9 @@ def _raw_scheme(g: Multigraph) -> RawScheme:
             x = leave()
             c = claimed[x]
             if not c:
-                add_vert(path[-1])
-                add_vert(x)
-                add_size(-2)
+                yield 0, (path[-1], x)
             elif c == 2:
-                chain = cycles.pop(x)
-                verts.fromlist(chain)
-                add_size(len(chain))
+                yield 1, cycles.pop(x)
             continue
         if seen[x]:
             continue
@@ -158,32 +146,26 @@ def _raw_scheme(g: Multigraph) -> RawScheme:
         raise DisconnectedGraphError(
             f"graph is disconnected ({reached} of {n} vertices reachable)"
         )
-    kinds = bytes(map((0).__lt__, sizes))
-    offs = array("i", accumulate(map(abs, sizes), initial=0))
-    return RawScheme(kinds, offs, verts, 0)
 
 
 def is_cactus(g: Multigraph) -> bool:
     """True iff every block of g is an edge or a simple cycle.  O(n + m)."""
     try:
-        _raw_scheme(g)
+        for _ in _scan(g):
+            pass
     except NotCactusError:
         return False
     return True
 
 
-def _wrap_blocks(raw: RawScheme) -> tuple[Block, ...]:
-    out = []
-    offs, verts, kinds = raw.offs, raw.verts, raw.kinds
-    for t in range(len(kinds)):
-        vs = tuple(verts[offs[t]:offs[t + 1]])
-        out.append(Block(BlockKind.CYCLE if kinds[t] else BlockKind.EDGE, vs))
-    return tuple(out)
+def _blocks(g: Multigraph) -> tuple[Block, ...]:
+    kinds = (BlockKind.EDGE, BlockKind.CYCLE)
+    return tuple(Block(kinds[kind], tuple(vs)) for kind, vs in _scan(g))
 
 
 def block_decomposition(g: Multigraph) -> BlockDecomposition:
     """Blocks, cut vertices, and the edge-to-block map of a cactus."""
-    blocks = _wrap_blocks(_raw_scheme(g))
+    blocks = _blocks(g)
     count = [0] * g.n
     for b in blocks:
         for v in b.vertices:
@@ -199,10 +181,8 @@ def block_decomposition(g: Multigraph) -> BlockDecomposition:
 def build_bes(g: Multigraph) -> BlockEliminationScheme:
     """A valid elimination scheme for a cactus, deterministic for a given
     vertex/edge ordering.  Raises NotCactusError otherwise."""
-    raw = _raw_scheme(g)
-    blocks = _wrap_blocks(raw)
-    steps = tuple(BesStep(b, b.vertices[0]) for b in blocks)
-    return BlockEliminationScheme(steps, raw.root)
+    steps = tuple(BesStep(b, b.vertices[0]) for b in _blocks(g))
+    return BlockEliminationScheme(steps, 0)
 
 
 def _block_edges(kind: BlockKind, vs) -> list:
@@ -213,17 +193,18 @@ def _block_edges(kind: BlockKind, vs) -> list:
     return [(u, v) if u <= v else (v, u) for u, v in zip(vs, ring)]
 
 
-def _free_block_shape(adj, deg, vs, a: int, kind: BlockKind) -> bool:
+def _free_block_shape(adj, deg, vs, a: int, kind: BlockKind, edges: list) -> bool:
     """Is (vs, a) a free edge/cycle block of the graph given by adj/deg?
-    adj must hold each of its edges exactly as often as the block lists it,
-    and every vertex but a must have all of its ends inside the block."""
+    edges is _block_edges(kind, vs); adj must hold each of them exactly as
+    often as it is listed, and every vertex but a must have all of its ends
+    inside the block."""
     if a not in vs or len(set(vs)) != len(vs):
         return False
     if len(vs) != 2 if kind is BlockKind.EDGE else len(vs) < 2:
         return False
     count = {}
     inside = dict.fromkeys(vs, 0)
-    for e in _block_edges(kind, vs):
+    for e in edges:
         count[e] = count.get(e, 0) + 1
         u, v = e
         inside[u] += 1
@@ -234,33 +215,32 @@ def _free_block_shape(adj, deg, vs, a: int, kind: BlockKind) -> bool:
 
 def validate_bes(g: Multigraph, scheme: BlockEliminationScheme) -> bool:
     """Replay the scheme on g and check every invariant.  Returns False on
-    any violation (wrong block, non-free block, leftovers...), never raises."""
+    any violation (wrong block, non-free block, leftovers...), never raises.
+
+    A free block's other vertices have no edge left once it is removed, so
+    when only the root survives, no edge does (g has no loops)."""
     try:
         n = g.n
         adj = [dict(d) for d in g.adjacency]
         deg = list(g.degrees)
         alive = bytearray([1]) * n
-        live_edges = g.num_edges
         for step in scheme.steps:
+            kind = step.block.kind
             vs = step.block.vertices
             a = step.attach
             if not all(isinstance(v, int) and 0 <= v < n and alive[v] for v in vs):
                 return False
-            if not _free_block_shape(adj, deg, vs, a, step.block.kind):
+            edges = _block_edges(kind, vs)
+            if not _free_block_shape(adj, deg, vs, a, kind, edges):
                 return False
-            for u, v in _block_edges(step.block.kind, vs):
+            for u, v in edges:
                 adj[u][v] -= 1
                 adj[v][u] -= 1
                 deg[u] -= 1
                 deg[v] -= 1
-                live_edges -= 1
             for v in vs:
                 if v != a:
-                    if deg[v] != 0:
-                        return False
                     alive[v] = 0
-        if live_edges != 0:
-            return False
         survivors = [v for v in range(n) if alive[v]]
         return survivors == [scheme.root]
     except Exception:

@@ -1,8 +1,9 @@
 """Divisor rank on a cactus by block elimination.
 
-The engine reads the elimination scheme (the block scan's raw arrays), leaf
-blocks first.  Eliminating a block moves its chip total onto the attachment
-vertex; what else happens depends on the block:
+The engine folds in the blocks as the block scan yields them, in
+elimination order, leaf blocks first; no scheme is stored.  Eliminating a
+block moves its chip total onto the attachment vertex; what else happens
+depends on the block:
 
   edge block    rank unchanged, nothing else to do;
   cycle block   look at the balanced remainder of the chips on the cycle.
@@ -16,8 +17,11 @@ vertex; what else happens depends on the block:
                 Both branches must be evaluated; taking the +1 branch alone
                 overshoots on some inputs (see the regression tests).
 
-Before the first step the engine checks the degree regimes that admit
-direct answers, which is also what keeps the common cases linear:
+Before the scan starts, the engine checks the degree regimes that admit
+direct answers, which is also what keeps the common cases linear.  It reads
+the cycle count as m - n + 1, the number of cycle blocks of a connected
+cactus.  Every rung reads the scan to its end, even once its answer is
+known, so a graph that is not a connected cactus raises at every degree:
 
   deg < 0                rank is -1;
   deg = 0                rank is 0 when every cycle's positional residue
@@ -28,8 +32,8 @@ direct answers, which is also what keeps the common cases linear:
                          is 0 or -1 by the same residue sweep run over K - f,
                          and rank = rank(K - f) + cycles - 1.
 
-Degrees strictly inside (0, 2*cycles - 2) take one bottom-up path DP over
-the whole scheme.  Flattening the nested min gives
+Degrees strictly inside (0, 2*cycles - 2) take one bottom-up path DP, one
+block per step.  Flattening the nested min gives
 
     rank = min over charge/skip paths of max(D - L + c, c - 1)
 
@@ -58,8 +62,9 @@ degree g - 1 on the generator's family (n/8 cycles of length up to 8, seed
 101) it takes 4.0 ms at n = 2^10, 17 ms at 2^12, 69 ms at 2^14 and 0.57 s
 at 2^16 (2-vCPU Xeon VM, CPython 3.11.7).
 
-With trace=True the pass also keeps each cycle's residue states, position
-by position, and both operands of each merge at a vertex, then reads the
+With trace=True the pass also keeps each block's vertices, each cycle's
+residue states, position by position, and both operands of each merge at a
+vertex, then reads the
 minimising (c, L) back from the root, blocks in reverse order: one record
 per block along that path, at a constant factor over the untraced pass.
 """
@@ -69,7 +74,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .graph import GraphError, Multigraph
-from .blocks import _raw_scheme
+from .blocks import _scan
 
 
 _UNREACHABLE = float("-inf")
@@ -119,9 +124,10 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
     """
     if len(f) != g.n:
         raise GraphError("divisor length mismatch")
-    kinds, offs, verts, root = _raw_scheme(g)
-    nsteps = len(kinds)
-    cycles = kinds.count(1)
+    blocks = _scan(g)  # from the root, vertex 0
+    # on a connected cactus, which the scan checks as it goes, the cycle
+    # blocks number m - n + 1
+    cycles = g.num_edges - g.n + 1
     deg = sum(f)
 
     def residues_zero(sign: int) -> bool:
@@ -136,24 +142,20 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
         # nets -1 and the edge hands down 1.
         extra: dict = {}
         pop = extra.pop
-        for t in range(nsteps):
-            lo = offs[t]
-            hi = offs[t + 1]
-            a = verts[lo]
-            if kinds[t] == 0:
-                u = verts[lo + 1]
+        for kind, vs in blocks:
+            a = vs[0]
+            if kind == 0:
+                u = vs[1]
                 extra[a] = extra.get(a, 0) + sign * f[u] + pop(u, 0)
             else:
-                k = hi - lo
+                k = len(vs)
                 s = 0
                 res = 0
-                pos = 1
-                for j in range(lo + 1, hi):
-                    u = verts[j]
+                for pos in range(1, k):
+                    u = vs[pos]
                     w = sign * f[u] + pop(u, 0)
                     s += w
                     res += pos * w
-                    pos += 1
                 if res % k:
                     return False
                 extra[a] = extra.get(a, 0) + s + 1 - sign
@@ -170,36 +172,38 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
     elif deg == top:
         r, regime = (0 if residues_zero(-1) else -1) + cycles - 1, "mirror"
     if regime is not None:
-        return RankResult(r, (TraceStep(0, "base", root, None, 0, deg, regime),)
+        # the rest of the scan, which raises unless g is a connected cactus
+        for _ in blocks:
+            pass
+        return RankResult(r, (TraceStep(0, "base", 0, None, 0, deg, regime),)
                           if trace else None)
 
     # the path DP.  best[v][c]: the most chips L = b + 2c that a path
     # through the blocks below v can lose with c <= deg charges, absent
     # for [0]; extra[v]: the chips handed down to v, so v ends with
-    # f[v] + extra[v] - L chips.  Traced, log keeps per block the list at
-    # its attachment before it, its own list, its loaded positions and the
-    # residue states after each.
+    # f[v] + extra[v] - L chips.  Traced, log keeps per block its kind and
+    # vertices, the list at its attachment before it, its own list, its
+    # loaded positions and the residue states after each.
     size = deg + 1
     extra: dict = {}
     best: dict = {}
     pop = extra.pop
     take = best.pop
     log = [] if trace else None
-    for t in range(nsteps):
-        lo = offs[t]
-        a = verts[lo]
+    for kind, vs in blocks:
+        a = vs[0]
         below = seq = None
-        if kinds[t] == 0:
-            u = verts[lo + 1]
+        if kind == 0:
+            u = vs[1]
             s = f[u] + pop(u, 0)
             p = take(u, None)
         else:
-            k = offs[t + 1] - lo
+            k = len(vs)
             s = 0
             res = 0
             below = []
             for j in range(1, k):
-                u = verts[lo + j]
+                u = vs[j]
                 w = f[u] + pop(u, 0)
                 s += w
                 res += j * w
@@ -244,22 +248,21 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
                     _raise(out, y, c, lost, size)
                 best[a] = out
         if log is not None:
-            log.append((q, p, below, seq))
-    ends = best.get(root, [0])
+            log.append((kind, vs, q, p, below, seq))
+    ends = best.get(0, [0])
     r, c = min((max(deg - lost + c, c - 1), c) for c, lost in enumerate(ends))
     if log is None:
         return RankResult(r)
 
     # read the minimising path back, last block first.  need[v] = (c, L):
     # what the blocks hanging at v that are still to come must lose.
-    need = {root: (c, ends[c])}
-    loss = [0] * nsteps
-    for t in range(nsteps - 1, -1, -1):
-        q, p, below, seq = log[t]
+    need = {0: (c, ends[c])}
+    loss = [0] * len(log)
+    for t in range(len(log) - 1, -1, -1):
+        kind, vs, q, p, below, seq = log[t]
         if p is None:
             continue
-        lo = offs[t]
-        a = verts[lo]
+        a = vs[0]
         c, lost = need.pop(a)
         if q is not None:
             # split the merge at a between the earlier blocks and this one
@@ -269,29 +272,29 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
             c -= c1
             lost -= q[c1]
         if below is None:
-            need[verts[lo + 1]] = (c, lost)
+            need[vs[1]] = (c, lost)
             continue
         res, c, loss[t] = next(
             (res, c - ch, dl) for res, xs in seq[-1].items()
             for ch, dl in (((0, 1),) if res else ((0, 0), (1, 2)))
             if 0 <= c - ch < len(xs) and xs[c - ch] + dl == lost)
         lost -= loss[t]
-        k = offs[t + 1] - lo
+        k = len(vs)
         for (j, q), states in zip(reversed(below), reversed(seq[:-1])):
             # losing x chips at position j took j * x off the residue
             for c2, x in enumerate(q):
                 xs = states.get((res + j * x) % k, ())
                 if 0 <= c - c2 < len(xs) and xs[c - c2] + x == lost:
                     break
-            need[verts[lo + j]] = (c2, x)
+            need[vs[j]] = (c2, x)
             res, c, lost = (res + j * x) % k, c - c2, lost - x
     names = {(0, 0): ("edge", None, None), (1, 1): ("cycle", "bad", None),
              (1, 0): ("cycle", "good", "skipped"), (1, 2): ("cycle", "good", "charged")}
     rows = []
     d = deg
-    for t in range(nsteps):
+    for t, (kind, vs, *_) in enumerate(log):
         d -= loss[t]
-        kind, good, branch = names[kinds[t], loss[t]]
-        rows.append(TraceStep(t, kind, verts[offs[t]], good, -loss[t], d, branch))
-    rows.append(TraceStep(nsteps, "base", root, None, 0, d, "path-dp"))
+        name, good, branch = names[kind, loss[t]]
+        rows.append(TraceStep(t, name, vs[0], good, -loss[t], d, branch))
+    rows.append(TraceStep(len(log), "base", 0, None, 0, d, "path-dp"))
     return RankResult(r, tuple(rows))

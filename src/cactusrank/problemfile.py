@@ -16,10 +16,15 @@ the per-number work to C; anything else (comments, other spacing, CRLF line
 ends, bad values) falls back to a line-by-line pass that produces precise
 errors.  Both give the same result.  Problem files are ASCII: any other byte
 is a ParseError.
+
+Both passes read the file a run of about 64 KB at a time, so a file's bytes
+are never held at once; the fallback seeks back to where the fast path
+began, first checks every byte is ASCII and then parses the lines.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from array import array
 from itertools import chain, islice
@@ -37,35 +42,78 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-# long text is read this many bytes (or characters) at a time, each run
-# extended to its next separator, so no list holds more than one run's worth
-_CHUNK = 1 << 18
+# a file is read this many bytes at a time, each read cut just after its last
+# separator, so no list or bytes object holds more than about one run's worth
+_CHUNK = 1 << 16
 
 
-def _runs(buf, lo: int, end: int, sep):
-    """(lo, hi) spans tiling buf[lo:end]: each is at least _CHUNK long and
-    ends just after a sep, except the last, which ends at end."""
+class _Runs:
+    """A binary file read a run at a time.  Called with a separator, returns
+    the next run: the bytes up to just after the last sep in the next read of
+    _CHUNK bytes, with whatever the reads before it left over in front.  At
+    the end of the file it returns what is left, then b"".  rest holds the
+    bytes read but not yet returned; a caller may put bytes back in front."""
+
+    def __init__(self, fh):
+        self.read = fh.read
+        self.rest = b""
+
+    def __call__(self, sep: bytes) -> bytes:
+        parts = [self.rest]
+        while True:
+            more = self.read(_CHUNK)
+            if not more:
+                self.rest = b""
+                return b"".join(parts)
+            cut = more.rfind(sep) + 1
+            if cut:
+                self.rest = more[cut:]
+                parts.append(more[:cut])
+                return b"".join(parts)
+            parts.append(more)
+
+
+def _spans(text: str, lo: int, sep: str):
+    """(lo, hi) spans tiling text[lo:]: each is at least _CHUNK long and ends
+    just after a sep, except the last, which ends at the end."""
+    end = len(text)
     while lo < end:
-        hi = buf.find(sep, lo + _CHUNK - 1, end) + 1 or end
+        hi = text.find(sep, lo + _CHUNK - 1) + 1 or end
         yield lo, hi
         lo = hi
 
 
-def _lines(data: bytes):
-    r"""The lines of the ASCII bytes data, as data.decode().splitlines()
+def _lines(fh):
+    r"""The lines of the ASCII file fh, as its decoded text's splitlines()
     gives them, decoded and split a run at a time: "\n" ends every line
     break it is part of, so a run that ends just after one ends a line."""
-    for lo, hi in _runs(data, 0, len(data), b"\n"):
-        yield from data[lo:hi].decode("ascii").splitlines()
+    runs = _Runs(fh)
+    while run := runs(b"\n"):
+        yield from run.decode("ascii").splitlines()
 
 
-def _parse_lines(data: bytes):
+def _check_ascii(fh) -> None:
+    # a ParseError at the first non-ASCII byte, before the line parser can
+    # report an error on an earlier line
+    runs = _Runs(fh)
+    line = 1
+    while run := runs(b"\n"):
+        if not run.isascii():
+            try:
+                run.decode("ascii")
+            except UnicodeDecodeError as e:
+                raise ParseError(f"non-ASCII byte 0x{run[e.start]:02x}",
+                                 line + run.count(b"\n", 0, e.start)) from None
+        line += run.count(b"\n")
+
+
+def _parse_lines(fh):
     n = None
     ends = array("i")
     add_end = ends.append
     divisor = None
     last_line = 0
-    for lineno, raw in enumerate(_lines(data), 1):
+    for lineno, raw in enumerate(_lines(fh), 1):
         last_line = lineno
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -112,7 +160,7 @@ def _parse_lines(data: bytes):
             # split a run at a time; a space never falls inside an entry
             try:
                 divisor = Divisor(map(int, chain.from_iterable(
-                    line[lo:hi].split() for lo, hi in _runs(line, 1, len(line), " "))))
+                    line[lo:hi].split() for lo, hi in _spans(line, 1, " "))))
             except ValueError:
                 raise ParseError("divisor entries must be integers", lineno) from None
             if len(divisor) != n:
@@ -128,76 +176,103 @@ def _parse_lines(data: bytes):
     return n, ends, divisor
 
 
-_DIGITS = b"0123456789-"
-# translated, put after "[0" and closed with "]", a run of canonical edge
-# lines, or a stretch of the divisor line from a space to a space, is one
-# JSON list: "e u v\ne x y\n" reads "[0 ,u,v  ,x,y ]" and " x y" reads
-# "[0,x,y]", one comma per space of the text
+_DIGITS = b"0123456789"
+_CHIPS = b"-0123456789 "
+# translated and put between "[" and "]", the numbers of a run of canonical
+# edge lines after its first "e ", or of a run of the divisor line without
+# its last space, are one JSON list: "u v\ne x y\n" reads "[u,v  ,x,y ]"
+# and "x y" reads "[x,y]", one comma per space of the text
 _ITEMS = bytes.maketrans(b" \ne", b",  ")
 
 
-def _items(data: bytes, lo: int, hi: int) -> list:
-    # the numbers of data[lo:hi], whole edge lines or a stretch of the
-    # divisor line that starts and ends at a space (or at its end)
-    items = json.loads("".join(("[0", data[lo:hi].translate(_ITEMS).decode("ascii"), "]")))
-    del items[0]
-    return items
+def _items(run: bytes) -> list:
+    return json.loads("".join(("[", run.translate(_ITEMS).decode("ascii"), "]")))
 
 
-def _parse_canonical(data: bytes):
-    r"""(n, ends, divisor) for text in exactly the shape serialize() writes,
+def _parse_canonical(fh):
+    r"""(n, ends, divisor) for a file in exactly the shape serialize() writes,
     None for anything else.
 
-    With the digits and minus signs deleted, the text must read
-    "n \n" + "e  \n" * m + "d " + " " * (n - 1) + "\n", and every "e" and
-    "d" must start its line.  The C JSON decoder then reads the numbers a
-    run at a time and rejects an empty or malformed one: the divisor line
-    in runs that end at a space, straight into the Divisor, then the edge
-    lines in runs of whole lines.  Each run's endpoints are range- and
-    loop-checked and go straight into one array, so no per-edge Python
-    object outlives its run.
+    The file is read a run at a time: the header line, then the edge lines
+    in runs that end just after a "\n", then the divisor line in runs that
+    end just after a space.  With the digits deleted, each edge run must read
+    "e  \n" * k, every "e" starting its line; with the digits, minus signs
+    and spaces deleted, a divisor run must be empty but for the final "\n",
+    which ends the file.  The C JSON decoder reads each run's numbers and
+    rejects an empty or malformed one.  Each edge run's endpoints are range-
+    and loop-checked and go straight into one array, and the divisor's
+    entries straight into the Divisor, so no per-edge Python object outlives
+    its run and the file's bytes are never held at once.
     """
-    hdr = data.find(b"\n")
-    if data[:2] != b"n " or not data[2:hdr].isdigit() or data[-1:] != b"\n":
+    runs = _Runs(fh)
+    run = runs(b"\n")
+    hdr = run.find(b"\n")
+    if hdr < 0 or run[:2] != b"n " or not run[2:hdr].isdigit():
         return None
-    n = int(data[2:hdr])
-    skel = data.translate(None, _DIGITS)
-    m, odd = divmod(len(skel) - n - 5, 4)
-    if (not 1 <= n <= _MAX_VERTICES or m < 0 or odd
-            or data.count(b"\ne ") != m or data.count(b"\nd ") != 1
-            or skel != b"".join((b"n \n", b"e  \n" * m, b"d ", b" " * (n - 1), b"\n"))):
+    n = int(run[2:hdr])
+    if not 1 <= n <= _MAX_VERTICES:
         return None
-    del skel
-    div = data.rfind(b"\nd ") + 1
-    if data.find(b"-", hdr, div) >= 0:
-        return None  # the line parser reports it with its line number
+    run = run[hdr + 1:]
     ends = array("i")
     try:
-        # a run of entries ends just after a space, the last just after the
-        # newline, so one byte earlier it runs from a space to a space
-        # (the last to the newline)
-        divisor = Divisor(chain.from_iterable(
-            _items(data, lo - 1, hi - 1) for lo, hi in _runs(data, div + 2, len(data), b" ")))
-        for lo, hi in _runs(data, hdr + 1, div, b"\n"):
-            items = _items(data, lo, hi)
-            if max(items) >= n or any(map(eq, islice(items, 0, None, 2),
-                                          islice(items, 1, None, 2))):
-                return None  # likewise
-            ends.fromlist(items)
-    except ValueError:  # an empty or malformed number
+        while True:
+            d = run.find(b"d")
+            if d >= 0:  # the divisor line starts here: put it back
+                runs.rest = run[d:] + runs.rest
+                run = run[:d]
+            if run:
+                k = run.count(b"\n")
+                if (run[:2] != b"e " or run[-1:] != b"\n" or run.count(b"\ne ") != k - 1
+                        or run.translate(None, _DIGITS) != b"e  \n" * k):
+                    return None  # a "-" too: the line parser reports it
+                items = _items(run[2:])
+                if max(items) >= n or any(map(eq, islice(items, 0, None, 2),
+                                              islice(items, 1, None, 2))):
+                    return None  # likewise, with its line number
+                ends.fromlist(items)
+            if d >= 0:
+                break
+            run = runs(b"\n")
+            if not run:
+                return None
+        divisor = Divisor(chain.from_iterable(_chips(runs)))
+    except ValueError:  # an empty or malformed number, or a bad divisor run
+        return None
+    if len(divisor) != n:
         return None
     return n, ends, divisor
 
 
-def _parse_bytes(data: bytes, check_connected: bool):
-    if not data.isascii():
-        try:
-            data.decode("ascii")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"non-ASCII byte 0x{data[e.start]:02x}",
-                             data.count(b"\n", 0, e.start) + 1) from None
-    parsed = _parse_canonical(data)
-    n, ends, divisor = parsed or _parse_lines(data)
+def _chips(runs: _Runs):
+    # the divisor line's entries, a list per run; ValueError unless the line
+    # is "d", then entries each after one space, then the "\n" ending the file
+    run = runs(b" ")
+    if run[:2] != b"d ":
+        raise ValueError
+    run = run[2:] or runs(b" ")
+    while True:
+        last = run[-1:] != b" "  # only the file's end stops a run elsewhere
+        if last and run[-1:] != b"\n":
+            raise ValueError
+        body = run[:-1]
+        if not body or body.translate(None, _CHIPS):
+            raise ValueError
+        yield _items(body)
+        if last:
+            return
+        run = runs(b" ")
+
+
+def _parse(fh, check_connected: bool):
+    # fh: a seekable binary file, read from its current position
+    start = fh.tell()
+    parsed = _parse_canonical(fh)
+    if parsed is None:
+        fh.seek(start)
+        _check_ascii(fh)
+        fh.seek(start)
+        parsed = _parse_lines(fh)
+    n, ends, divisor = parsed
     g = Multigraph._from_ends(n, ends)
     if check_connected and not g.is_connected():
         raise DisconnectedGraphError("graph in file is disconnected")
@@ -216,19 +291,21 @@ def parse_string(text: str, *, check_connected: bool = True):
     except UnicodeEncodeError as e:
         raise ParseError(f"non-ASCII character {text[e.start]!r}",
                          text.count("\n", 0, e.start) + 1) from None
-    return _parse_bytes(data, check_connected)
+    return _parse(io.BytesIO(data), check_connected)
 
 
 def parse_file(source: Union[str, BinaryIO, TextIO], *, check_connected: bool = True):
-    """Parse a path or an open stream (text or binary)."""
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, str):
-            return parse_string(data, check_connected=check_connected)
-    else:
+    """Parse a path or an open stream (text or binary).  A path is read a run
+    at a time; a seekable binary stream is read from its current position,
+    any other stream is read whole first."""
+    if not hasattr(source, "read"):
         with open(source, "rb") as fh:
-            data = fh.read()
-    return _parse_bytes(data, check_connected)
+            return _parse(fh, check_connected)
+    if isinstance(source.read(0), str):
+        return parse_string(source.read(), check_connected=check_connected)
+    if not source.seekable():
+        source = io.BytesIO(source.read())
+    return _parse(source, check_connected)
 
 
 def serialize(g: Multigraph, f) -> str:

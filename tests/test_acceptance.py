@@ -212,15 +212,17 @@ def test_criterion_6_linear_time_benchmark(tmp_path):
 
 
 def test_rank_peak_rss(tmp_path):
-    # criterion 6's file at 2^20 is 21 MB.  The parse and the block scan
-    # keep their numbers in typed arrays and hold one copy of each, so no
-    # structure holds an int object per edge or per block; on a 2-vCPU Xeon
-    # VM (CPython 3.11.7) the peak measured 64 MB, against 80 MB with a copy
-    # of the divisor, a far-end array and a list behind the divisor, and
-    # 176 MB with lists of ints.  The same file with CRLF line ends goes to
-    # the line parser, which decodes and reads it a run at a time: 69 MB,
-    # against 90 MB with a decoded copy of the whole file and 197 MB with
-    # every line held at once.
+    # criterion 6's file at 2^20 is 21 MB.  The parse reads it a run at a
+    # time into one endpoint array and the divisor, and the engine folds in
+    # the block scan's blocks as they come, so neither the file's bytes nor
+    # the elimination scheme is held; on a 2-vCPU Xeon VM (CPython 3.11.7)
+    # the peak measured 48 MB, against 64 MB with the whole file read and
+    # the scheme stored in typed arrays, 80 MB with a copy of the divisor, a
+    # far-end array and a list behind the divisor, and 176 MB with lists of
+    # ints.  The same file with CRLF line ends goes to the line parser, which
+    # reads, decodes and parses it a run at a time: 52 MB, against 69 MB
+    # with the file's bytes held, 90 MB with a decoded copy of the whole
+    # file too and 197 MB with every line held at once.
     n = 2 ** 20
     cycles = n // 8
     path = tmp_path / "bench_20.txt"
@@ -230,11 +232,11 @@ def test_rank_peak_rss(tmp_path):
                         "--divisor-degree", str(2 * cycles - 2), "--seed", "101"],
                        stdout=fh, env=CHILD_ENV, check=True)
     peak = cli_peak_rss_mb("rank", str(path))
-    assert peak < 75, f"peak RSS {peak:.1f} MB"
+    assert peak < 52, f"peak RSS {peak:.1f} MB"
     crlf = tmp_path / "bench_20_crlf.txt"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     peak = cli_peak_rss_mb("rank", str(crlf))
-    assert peak < 80, f"peak RSS {peak:.1f} MB with CRLF line ends"
+    assert peak < 56, f"peak RSS {peak:.1f} MB with CRLF line ends"
 
 
 def test_midband_polynomial_time():

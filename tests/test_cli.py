@@ -151,6 +151,26 @@ def test_exit_code_not_cactus(tmp_path, capsys):
     assert "not a cactus" in capsys.readouterr().err
 
 
+def test_exit_codes_at_every_degree(tmp_path, capsys):
+    # the diagnostic and exit code of a rank call on a graph that is not a
+    # connected cactus do not depend on the divisor's degree or on --trace
+    cases = (
+        ("n 4\ne 0 1\ne 1 2\ne 2 0\ne 0 3\ne 0 3\ne 0 3\nd {}\n", 4,
+         "not a cactus: edge (3, 0) lies on a second cycle\n"),
+        ("n 10\ne 0 1\ne 1 2\ne 2 0\ne 0 3\ne 3 4\ne 4 0\n"
+         "e 5 6\ne 6 7\ne 7 5\ne 5 8\ne 8 9\ne 9 5\nd {}\n", 3,
+         "invalid graph: graph is disconnected (5 of 10 vertices reachable)\n"),
+    )
+    for text, code, err in cases:
+        n = int(text.split()[1])
+        for deg in (-1, 0, 1, 4, 5):
+            chips = [deg] + [0] * (n - 1)
+            path = write(tmp_path, "g.txt", text.format(" ".join(map(str, chips))))
+            for flags in ([], ["--trace"]):
+                assert main(["rank", path, *flags]) == code, (text, deg, flags)
+                assert capsys.readouterr() == ("", err)
+
+
 def test_exit_code_oracle_guard(tmp_path, capsys):
     edges = "".join(f"e {i} {i + 1}\n" for i in range(12))
     path = write(tmp_path, "big.txt", f"n 13\n{edges}d {' '.join(['0'] * 13)}\n")

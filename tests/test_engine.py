@@ -369,3 +369,35 @@ def test_residue_sweep_at_genus_6_to_8():
             verdicts.add(res.rank - (0 if regime == "zero-degree" else gn - 1))
             hits += 1
         assert verdicts == {0, -1}, regime
+
+
+# a triangle at vertex 0 comes first in the scan, then the part that is not
+# a cactus: a triple edge; K4 with a pendant path; a second bowtie apart
+# from the first
+_TRIANGLE = [(0, 1), (1, 2), (2, 0)]
+_BOWTIE = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
+NOT_CONNECTED_CACTI = [
+    (cr.NotCactusError, cr.Multigraph(4, _TRIANGLE + [(0, 3)] * 3)),
+    (cr.NotCactusError, cr.Multigraph(8, _TRIANGLE + [
+        (0, 3), (0, 4), (0, 5), (3, 4), (3, 5), (4, 5), (5, 6), (6, 7)])),
+    (cr.DisconnectedGraphError,
+     cr.Multigraph(10, _BOWTIE + [(u + 5, v + 5) for u, v in _BOWTIE])),
+]
+
+
+def test_every_rung_raises_on_a_graph_that_is_not_a_connected_cactus():
+    # every degree, below 0, 0, in the band, 2g - 2 and above it (g read as
+    # m - n + 1), raises as the block scan does, traced or not, also when a
+    # bad cycle or the divisor's degree alone already decides the answer
+    rng = random.Random(1601)
+    for error, g in NOT_CONNECTED_CACTI:
+        top = 2 * (g.num_edges - g.n + 1) - 2
+        assert top >= 2
+        for deg in (-1, 0, 1, top - 1, top, top + 1):
+            for _ in range(20):
+                f = [rng.randint(-2, 2) for _ in range(g.n)]
+                while sum(f) != deg:
+                    f[rng.randrange(g.n)] += 1 if sum(f) < deg else -1
+                for trace in (False, True):
+                    with pytest.raises(error):
+                        cr.rank(g, f, trace=trace)

@@ -1,4 +1,5 @@
 import io
+import os
 import re
 
 import pytest
@@ -69,7 +70,8 @@ def test_parse_file_path_and_stream(tmp_path):
     p.write_text(CANON)
     g1, f1 = cr.parse_file(str(p))
     g2, f2 = cr.parse_file(io.StringIO(CANON))
-    assert g1 == g2 and f1 == f2
+    g3, f3 = cr.parse_file(io.BytesIO(CANON.encode("ascii")))
+    assert g1 == g2 == g3 and f1 == f2 == f3
 
 
 def test_syntax_errors_report_line_numbers():
@@ -179,7 +181,7 @@ def test_fast_and_slow_paths_agree():
         assert _parse_outcome(text) == _parse_outcome("# forced slow path\n" + text), text
         # the fast path takes exactly the canonical shape and leaves the
         # rest, errors included, to the line parser
-        fast = cactusrank.problemfile._parse_canonical(text.encode("ascii"))
+        fast = cactusrank.problemfile._parse_canonical(io.BytesIO(text.encode("ascii")))
         assert (fast is not None) == canonical, text
     for base in (CANON, "n 2\ne 0 1\ne 0 1\nd 1 -1\n", "n 1\nd 5\n"):
         for text in set(_single_edits(base)):
@@ -188,11 +190,12 @@ def test_fast_and_slow_paths_agree():
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_fast_path_chunk_boundaries(monkeypatch, chunk):
-    # the fast path decodes its edge lines in runs of _CHUNK bytes, each
-    # extended to the end of its line, and its divisor line in runs that end
-    # at a space; the line parser reads its text and its divisor line in runs
-    # too.  1 makes every line and every chip a run of its own; 7 puts two of
-    # the 6-byte lines "e u v\n" in one run, and "-12 345 " in one
+    # the file is read _CHUNK bytes at a time and each read is cut after its
+    # last separator: a "\n" for the edge lines and for the line parser, a
+    # space for the divisor line, whose runs the line parser splits at
+    # spaces too.  1 makes every line and every chip a run of its own; 7
+    # cuts most reads inside a line or a chip, so that most runs start with
+    # what the read before left over, and "-12 345 " is one divisor run
     monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
     test_fast_and_slow_paths_agree()
 
@@ -207,7 +210,7 @@ def test_line_runs_split_as_splitlines(monkeypatch, chunk):
     texts.append("".join(f"{i}{b}" for i, b in enumerate(breaks * 3)))
     texts.append("".join(breaks) + "".join(reversed(breaks)) + "end")
     for text in texts:
-        lines = cactusrank.problemfile._lines(text.encode("ascii"))
+        lines = cactusrank.problemfile._lines(io.BytesIO(text.encode("ascii")))
         assert list(lines) == text.splitlines(), repr(text)
 
 
@@ -217,15 +220,15 @@ def test_fast_path_defers_errors_in_its_last_run():
     lines = [f"e {i} {i + 1}\n" for i in range(n - 1)]
     text = "".join([f"n {n}\n", *lines, "d " + " ".join(["0"] * n) + "\n"])
     assert len(text) > 2 * cactusrank.problemfile._CHUNK
-    assert cactusrank.problemfile._parse_canonical(text.encode("ascii")) is not None
+    assert cactusrank.problemfile._parse_canonical(io.BytesIO(text.encode("ascii"))) is not None
     for bad, message in ((f"e {n - 2} {n - 2}\n", f"loop edge ({n - 2}, {n - 2})"),
                          (f"e {n - 2} {n}\n", f"edge ({n - 2}, {n}) out of range")):
         broken = text.replace(lines[-1], bad)
-        assert cactusrank.problemfile._parse_canonical(broken.encode("ascii")) is None
+        assert cactusrank.problemfile._parse_canonical(io.BytesIO(broken.encode("ascii"))) is None
         with pytest.raises(cr.GraphError) as exc:
             cr.parse_string(broken)
         with pytest.raises(cr.GraphError) as slow:
-            cactusrank.problemfile._parse_lines(broken.encode("ascii"))
+            cactusrank.problemfile._parse_lines(io.BytesIO(broken.encode("ascii")))
         # the last edge line is line n of the file
         assert str(exc.value) == str(slow.value)
         assert str(exc.value).startswith(f"line {n}: {message}"), exc.value
@@ -241,10 +244,10 @@ def test_fast_path_defers_divisor_errors_in_its_last_run():
     assert len(text) - len(head) > 2 * cactusrank.problemfile._CHUNK
     _, f = cr.parse_string(text)
     assert tuple(f) == tuple(map(int, chips))
-    assert cactusrank.problemfile._parse_canonical(text.encode("ascii")) is not None
+    assert cactusrank.problemfile._parse_canonical(io.BytesIO(text.encode("ascii"))) is not None
     for bad in ("-1-2", "-"):
         broken = head + " ".join(chips[:-1] + [bad]) + "\n"
-        assert cactusrank.problemfile._parse_canonical(broken.encode("ascii")) is None
+        assert cactusrank.problemfile._parse_canonical(io.BytesIO(broken.encode("ascii"))) is None
         with pytest.raises(cr.ParseError) as exc:
             cr.parse_string(broken)
         # the divisor line follows the header and n - 1 edge lines
@@ -260,6 +263,87 @@ def test_non_ascii_byte_reports_first_position():
             cr.parse_file(io.BytesIO(data))
         assert exc.value.line == line
         assert str(exc.value) == f"line {line}: non-ASCII byte 0x{byte:02x}"
+
+
+def test_non_ascii_byte_reported_before_an_earlier_syntax_error(tmp_path):
+    data = b"n 3\nq 0 1\ne 1 2\ne 2 \xe90\nd 0 0 0\n"
+    path = tmp_path / "prob.txt"
+    path.write_bytes(data)
+    for source in (str(path), io.BytesIO(data)):
+        with pytest.raises(cr.ParseError) as exc:
+            cr.parse_file(source)
+        assert str(exc.value) == "line 4: non-ASCII byte 0xe9"
+
+
+@pytest.mark.parametrize("chunk, n", [(1, 30), (7, 30), (None, 40000)])
+def test_error_in_the_last_edge_run(monkeypatch, chunk, n):
+    # canonical but for the last edge line: the line parser's error, with
+    # its line number, whatever the run size
+    if chunk:
+        monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
+    lines = [f"e {i} {i + 1}\n" for i in range(n - 1)]
+    head = f"n {n}\n" + "".join(lines[:-1])
+    tail = "d " + " ".join(["0"] * n) + "\n"
+    for bad, error, message in (
+            (f"e {n - 2} {n - 2}\n", cr.GraphError, f"loop edge ({n - 2}, {n - 2}) not allowed"),
+            (f"e {n - 2} {n}\n", cr.GraphError, f"edge ({n - 2}, {n}) out of range for n={n}"),
+            (f"e {n - 2} -1\n", cr.GraphError, f"edge ({n - 2}, -1) out of range for n={n}"),
+            (f"e {n - 2}\n", cr.ParseError, "edge line takes two endpoints"),
+            (f"e {n - 2} 1x\n", cr.ParseError, "edge endpoints must be integers")):
+        with pytest.raises(error) as exc:
+            cr.parse_string(head + bad + tail)
+        assert str(exc.value) == f"line {n}: {message}"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_canonical_but_for_the_final_newline(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
+    for text in (CANON, "n 2\ne 0 1\ne 0 1\nd 1 -1\n", "n 1\nd 5\n"):
+        assert _parse_outcome(text[:-1]) == _parse_outcome(text)
+        assert _parse_outcome(text + " ") == _parse_outcome("# slow\n" + text + " ")
+
+
+def test_stream_read_from_its_position():
+    # a seekable binary stream is parsed from where it stands, also when the
+    # canonical read gives up and the line parser starts over
+    for text in (CANON, CANON.replace("\n", "\r\n"), "n 2\ne 0 1\nd 0 -\n"):
+        stream = io.BytesIO(b"n 9\nd 1 2\n" + text.encode("ascii"))
+        stream.seek(10)
+        try:
+            outcome = cr.parse_file(stream)
+        except cr.ParseError as e:
+            outcome = str(e)
+        try:
+            expected = cr.parse_string(text)
+        except cr.ParseError as e:
+            expected = str(e)
+        assert outcome == expected
+
+
+class _Unseekable(io.RawIOBase):
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._data.readinto(buffer)
+
+
+def test_unseekable_streams():
+    for text in (CANON, CANON.replace("\n", "\r\n")):
+        data = text.encode("ascii")
+        r, w = os.pipe()
+        os.write(w, data)
+        os.close(w)
+        with os.fdopen(r, "rb") as pipe:
+            assert not pipe.seekable()
+            from_pipe = cr.parse_file(pipe)
+        raw = _Unseekable(data)
+        assert not raw.seekable()
+        assert from_pipe == cr.parse_file(raw) == cr.parse_string(CANON)
 
 
 def test_vertex_count_beyond_the_id_range():
