@@ -7,6 +7,19 @@ PRNG is splitmix64 (Steele/Lea/Flood): 64-bit state advancing by the constant
 draws use plain modulo; the tiny bias is irrelevant here and keeping the
 draw rule trivial makes streams easy to reproduce in other languages.
 
+SplitMix64 is the scalar definition of the stream.  generate() takes the
+same values, draw for draw, from _draws(), which computes them a batch at a
+time with whole-int operations instead of about fifteen per draw.  The
+states of a batch are an arithmetic progression mod 2^64, so one Python int
+holds them all, one 128-bit lane per state with the value in the lane's low
+64 bits.  Each round xors the int with itself shifted right, masks every
+lane back to 64 bits, multiplies by the round's constant and masks again.
+No carry crosses a lane: a lane's value and the constant are each below
+2^64, so their product stays below 2^128, and a right shift moves a lane's
+low bits only into the high half of the lane below, which the next mask
+clears.  The batch is unpacked with int.to_bytes into an array of 64-bit
+words, of which every other one is a draw.
+
 Construction: cycle lengths start at 2 and grow randomly up to max_cycle_len
 while spare vertices last, leftover vertices become pendant edge blocks, the
 block list is shuffled, and each block is attached to a uniformly chosen
@@ -16,30 +29,77 @@ of cycle blocks, and uses exactly the requested number of vertices.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 from .graph import Divisor, Multigraph
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
+    """The splitmix64 stream, one draw at a time: the definition _draws()
+    must match."""
+
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z = ((z ^ (z >> 30)) * _MUL1) & _MASK
+        z = ((z ^ (z >> 27)) * _MUL2) & _MASK
         return z ^ (z >> 31)
 
     def randrange(self, k: int) -> int:
         """Uniform-ish draw from 0..k-1 (modulo method, documented)."""
         return self.next_u64() % k
+
+
+def _batch(b: int) -> tuple:
+    """(b, ones, steps, lanes) for a batch of b draws: in lane i, ones holds
+    1, steps holds (i + 1) * _GAMMA and lanes holds 2^64 - 1."""
+    def packed(values):
+        return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values), "little")
+    return b, packed([1] * b), packed(range(1, b + 1)) * _GAMMA, packed([_MASK] * b)
+
+
+# batch sizes grow, so that a small problem does not compute thousands of
+# draws it never takes; past the last size, every batch has the last size
+_BATCHES = tuple(map(_batch, (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)))
+
+
+def _batches(seed: int):
+    """The SplitMix64(seed).next_u64() stream, as arrays of b draws each."""
+    state = seed & _MASK
+    for b, ones, steps, lanes in chain(_BATCHES, repeat(_BATCHES[-1])):
+        # lane i: state + (i + 1) * _GAMMA, below 2^77 before the mask
+        z = (state * ones + steps) & lanes
+        z = ((z ^ (z >> 30)) & lanes) * _MUL1 & lanes
+        z = ((z ^ (z >> 27)) & lanes) * _MUL2 & lanes
+        z ^= z >> 31  # the lanes' high halves are not read, so no mask
+        words = array("Q")
+        words.frombytes(z.to_bytes(16 * b, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        yield words[0::2]
+        state = (state + b * _GAMMA) & _MASK
+
+
+def _draws(seed: int):
+    """An iterator over the SplitMix64(seed).next_u64() stream."""
+    return chain.from_iterable(_batches(seed))
+
+
+# generate() builds the endpoints of this many blocks in a list at a time
+_RUN = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -65,7 +125,8 @@ class GeneratorParams:
 
 
 def generate(params: GeneratorParams) -> tuple[Multigraph, Divisor]:
-    rng = SplitMix64(params.seed)
+    draws = _draws(params.seed)
+    draw = draws.__next__
     n = params.vertices
     c = params.cycles
     lens = [2] * c
@@ -73,8 +134,8 @@ def generate(params: GeneratorParams) -> tuple[Multigraph, Divisor]:
     pendants = 0
     growable = list(range(c)) if params.max_cycle_len > 2 else []
     for _ in range(budget):
-        if growable and rng.randrange(2) == 0:
-            j = rng.randrange(len(growable))
+        if growable and draw() % 2 == 0:
+            j = draw() % len(growable)
             i = growable[j]
             lens[i] += 1
             if lens[i] == params.max_cycle_len:
@@ -82,31 +143,36 @@ def generate(params: GeneratorParams) -> tuple[Multigraph, Divisor]:
                 growable.pop()
         else:
             pendants += 1
-    blocks = [lens[i] for i in range(c)] + [0] * pendants  # 0 marks an edge block
-    for i in range(len(blocks) - 1, 0, -1):  # Fisher-Yates
-        j = rng.randrange(i + 1)
+    blocks = lens + [0] * pendants  # 0 marks an edge block
+    # zip takes from the range first, so it stops without taking a draw too many
+    for i, d in zip(range(len(blocks) - 1, 0, -1), draws):  # Fisher-Yates
+        j = d % (i + 1)
         blocks[i], blocks[j] = blocks[j], blocks[i]
-    ends = []  # flat endpoint pairs, as Multigraph stores them
+    ends = array("i")  # flat endpoint pairs, as Multigraph stores them
     nv = 1
-    for length in blocks:
-        at = rng.randrange(nv)
-        if length == 0:
-            ends += (at, nv)
-            nv += 1
-        elif length == 2:
-            ends += (at, nv, at, nv)
-            nv += 1
-        else:
-            last = nv + length - 2
-            ends += (at, nv)
-            for v in range(nv, last):
-                ends += (v, v + 1)
-            ends += (last, at)
-            nv = last + 1
-    vals = [rng.randrange(5) - 2 for _ in range(n)]
+    # a run of blocks' endpoints at a time: a short list takes them faster
+    # than the array does, and no list of every endpoint is held at once
+    for lo in range(0, len(blocks), _RUN):
+        part = []
+        for length, d in zip(blocks[lo:lo + _RUN], draws):
+            at = d % nv
+            if length == 0:
+                part += (at, nv)
+                nv += 1
+            elif length == 2:
+                part += (at, nv, at, nv)
+                nv += 1
+            else:
+                last = nv + length - 2
+                part += (at, nv)
+                for v in range(nv, last):
+                    part += (v, v + 1)
+                part += (last, at)
+                nv = last + 1
+        ends.fromlist(part)
+    vals = [d % 5 - 2 for d in islice(draws, n)]
     diff = params.divisor_degree - sum(vals)
     step = 1 if diff > 0 else -1
-    while diff:
-        vals[rng.randrange(n)] += step
-        diff -= step
-    return Multigraph._from_ends(n, array("i", ends)), Divisor(vals)
+    for d in islice(draws, abs(diff)):
+        vals[d % n] += step
+    return Multigraph._from_ends(n, ends), Divisor(vals)

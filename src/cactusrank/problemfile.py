@@ -308,12 +308,22 @@ def parse_file(source: Union[str, BinaryIO, TextIO], *, check_connected: bool = 
     return _parse(source, check_connected)
 
 
+# serialize() fills this many copies of a line's format per % operation
+_FILL = 1 << 12
+
+
+def _filled(fmt: str, width: int, items) -> str:
+    """fmt repeated len(items) // width times, filled from items in order:
+    one C-level % per run of _FILL copies, not one Python format per copy."""
+    step = width * _FILL
+    full = fmt * _FILL
+    return "".join((full if len(run) == step else fmt * (len(run) // width)) % tuple(run)
+                   for run in (items[lo:lo + step] for lo in range(0, len(items), step)))
+
+
 def serialize(g: Multigraph, f) -> str:
     """Canonical problem-file text for (g, f)."""
     if len(f) != g.n:
         raise GraphError("divisor length mismatch")
-    parts = [f"n {g.n}\n"]
-    ends = g._ends
-    parts += [f"e {u} {v}\n" for u, v in zip(ends[0::2], ends[1::2])]
-    parts.append("d " + " ".join(map(str, f)) + "\n")
-    return "".join(parts)
+    return "".join((f"n {g.n}\n", _filled("e %d %d\n", 2, g._ends),
+                    "d", _filled(" %d", 1, f), "\n"))

@@ -1,8 +1,12 @@
+import hashlib
+from itertools import islice
+
 import pytest
 
 import cactusrank as cr
 from cactusrank import BlockKind
-from cactusrank.generator import SplitMix64
+from cactusrank.cli import main
+from cactusrank.generator import SplitMix64, _draws
 
 
 def test_splitmix64_reference_stream():
@@ -28,6 +32,48 @@ def test_splitmix64_pinned_stream():
 
 def test_splitmix64_seed_masked_to_64_bits():
     assert SplitMix64(2**64 + 5).next_u64() == SplitMix64(5).next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1, 2**64 + 5])
+def test_batched_stream_matches_scalar(seed):
+    # 20,000 draws cross every batch-size step (16 .. 4096, 8176 draws in
+    # all) and several full 4096-draw batches; 2^64 - 1 wraps on the first
+    # step, 2^64 + 5 is masked to 5
+    r = SplitMix64(seed)
+    assert list(islice(_draws(seed), 20_000)) == [r.next_u64() for _ in range(20_000)]
+
+
+# sha256 of serialize(*generate(params)), pinned so that any change to the
+# stream or the construction, on any version or platform, shows; fields are
+# (vertices, cycles, max_cycle_len, divisor_degree, seed)
+PINNED = [
+    ((1, 0, 2, -4, 0), "d913f605eede0ed5cc242b2bb7cd4ddf4971c8cada36db6a31f1d30a3c99da37"),
+    ((25, 0, 8, 0, 3), "fa0b034be6c138d00be2aa8db3a78f04c7b2b1459d97e83c2ece00c9fbcbe0ed"),
+    ((2, 1, 2, 0, 0), "a1a13cdf743bbc47a9c562c3804446980d777d5cf196d9d6da3496285f3c42a8"),
+    ((30, 4, 6, 2, 5), "ec65ce02d13c928e2624fbc837986ee887d41ff5c55ab708f0733cebca0857b0"),
+    ((512, 64, 8, 47, 3), "ed170d3035e2b0b6c57ea81ceba8695e34bc55ef0e3cde154eb5da04c847aead"),
+    ((12, 4, 8, 10, 5), "a9bfeff96b779bf7231707d73919d71dcba33e37c746bb62a29a338930c3ca8c"),
+    # criterion 6's family at 2^16
+    ((2**16, 2**13, 8, 2**14 - 2, 101),
+     "8ca32b1f14a9e10b99310803b64641fc7006a220d481c4e1c1f6efc3486cad7f"),
+]
+
+
+@pytest.mark.parametrize("fields, digest", PINNED)
+def test_generate_pinned_digest(fields, digest):
+    text = cr.serialize(*cr.generate(cr.GeneratorParams(*fields)))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fields, digest", PINNED)
+def test_gen_command_pinned_digest(fields, digest, capsys):
+    names = ("--vertices", "--cycles", "--max-cycle-len", "--divisor-degree", "--seed")
+    argv = ["gen"]
+    for name, value in zip(names, fields):
+        argv += (name, str(value))
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_generate_deterministic():
