@@ -62,9 +62,6 @@ class Multigraph:
                 raise GraphError(f"loop edge ({u}, {u}) not allowed")
             ends.append(u)
             ends.append(v)
-        self._init(n, ends)
-
-    def _init(self, n: int, ends: array) -> None:
         self.n = n
         self._ends = ends
         self._edges = None
@@ -76,8 +73,8 @@ class Multigraph:
     @classmethod
     def _from_ends(cls, n: int, ends: array) -> "Multigraph":
         # for callers that have already range- and loop-checked the endpoints
-        g = cls.__new__(cls)
-        g._init(n, ends)
+        g = cls(n, ())
+        g._ends = ends
         return g
 
     @property
@@ -194,12 +191,12 @@ class Divisor(tuple):
 
     def __add__(self, other):
         if len(other) != len(self):
-            raise ValueError("divisor length mismatch")
+            raise GraphError("divisor length mismatch")
         return Divisor(a + b for a, b in zip(self, other))
 
     def __sub__(self, other):
         if len(other) != len(self):
-            raise ValueError("divisor length mismatch")
+            raise GraphError("divisor length mismatch")
         return Divisor(a - b for a, b in zip(self, other))
 
     def __neg__(self):

@@ -9,13 +9,13 @@ serialize() emits the canonical form (no comments, edges in stored order),
 and parsing it back is a byte-exact round trip.  Parsing distinguishes
 syntax problems (ParseError, with a line number) from structurally invalid
 graphs (GraphError: loops, out-of-range ids, wrong divisor length,
-disconnected input).
+disconnected input).  Line numbers count every break str.splitlines() knows.
 
 Input in exactly the canonical shape is parsed on a fast path that leaves
 the per-number work to C; anything else (comments, other spacing, CRLF line
 ends, bad values) falls back to a line-by-line pass that produces precise
-errors.  Both give the same result.  Problem files are ASCII: any other byte
-is a ParseError.
+errors.  Both give the same result.  Problem files are ASCII: any other byte,
+of a file or of str input's UTF-8, is a ParseError before any other error.
 
 Both passes read the file a run of about 64 KB at a time, so a file's bytes
 are never held at once; the fallback seeks back to where the fast path
@@ -84,27 +84,34 @@ def _spans(text: str, lo: int, sep: str):
 
 
 def _lines(fh):
-    r"""The lines of the ASCII file fh, as its decoded text's splitlines()
-    gives them, decoded and split a run at a time: "\n" ends every line
-    break it is part of, so a run that ends just after one ends a line."""
+    r"""The lines of the file fh, as its decoded text's splitlines() gives
+    them, decoded and split a run at a time: "\n" ends every line break it
+    is part of, so a run that ends just after one ends a line.  A byte that
+    is not ASCII is a ParseError on the line splitlines() would put it."""
     runs = _Runs(fh)
+    done = 0
     while run := runs(b"\n"):
-        yield from run.decode("ascii").splitlines()
+        try:
+            lines = run.decode("ascii").splitlines()
+        except UnicodeDecodeError as e:
+            # the text before the byte, with a character added, ends on its line
+            line = done + len((run[:e.start] + b".").decode("ascii").splitlines())
+            raise ParseError(f"non-ASCII byte 0x{run[e.start]:02x}", line) from None
+        done += len(lines)
+        yield from lines
 
 
 def _check_ascii(fh) -> None:
-    # a ParseError at the first non-ASCII byte, before the line parser can
-    # report an error on an earlier line
+    # the first non-ASCII byte is reported before the line parser can report
+    # an error on an earlier line: when a run is not ASCII, the lines are
+    # read from the start until _lines raises at that byte
+    start = fh.tell()
     runs = _Runs(fh)
-    line = 1
     while run := runs(b"\n"):
         if not run.isascii():
-            try:
-                run.decode("ascii")
-            except UnicodeDecodeError as e:
-                raise ParseError(f"non-ASCII byte 0x{run[e.start]:02x}",
-                                 line + run.count(b"\n", 0, e.start)) from None
-        line += run.count(b"\n")
+            fh.seek(start)
+            for _ in _lines(fh):
+                pass
 
 
 def _parse_lines(fh):
@@ -112,9 +119,8 @@ def _parse_lines(fh):
     ends = array("i")
     add_end = ends.append
     divisor = None
-    last_line = 0
+    lineno = 0
     for lineno, raw in enumerate(_lines(fh), 1):
-        last_line = lineno
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -170,9 +176,9 @@ def _parse_lines(fh):
         else:
             raise ParseError(f"unknown directive {tag!r}", lineno)
     if n is None:
-        raise ParseError("missing n header", last_line or None)
+        raise ParseError("missing n header", lineno or None)
     if divisor is None:
-        raise ParseError("missing divisor line", last_line or None)
+        raise ParseError("missing divisor line", lineno or None)
     return n, ends, divisor
 
 
@@ -286,12 +292,7 @@ def parse_string(text: str, *, check_connected: bool = True):
     graph straight into the block scan (which detects disconnection itself)
     use this to avoid touching every edge twice.
     """
-    try:
-        data = text.encode("ascii")
-    except UnicodeEncodeError as e:
-        raise ParseError(f"non-ASCII character {text[e.start]!r}",
-                         text.count("\n", 0, e.start) + 1) from None
-    return _parse(io.BytesIO(data), check_connected)
+    return _parse(io.BytesIO(text.encode("utf-8", "surrogatepass")), check_connected)
 
 
 def parse_file(source: Union[str, BinaryIO, TextIO], *, check_connected: bool = True):

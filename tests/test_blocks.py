@@ -178,6 +178,24 @@ def test_validate_bes_rejects_tampered_block():
         assert not cr.validate_bes(graph, BlockEliminationScheme(steps, 0)), steps
 
 
+def test_validate_bes_rejects_bad_vertices_and_steps():
+    # False, never an exception, for a vertex that is not a live vertex of
+    # g and for a step that is not a BesStep
+    g = triangle_with_pendant()
+    edge = BlockKind.EDGE
+    pendant = BesStep(Block(edge, (2, 3)), 2)
+    triangle = BesStep(Block(BlockKind.CYCLE, (0, 1, 2)), 0)
+    assert cr.validate_bes(g, BlockEliminationScheme((pendant, triangle), 0))
+    for bad in ((2, 4), (2, -1), (2, 3.0), (2, "3"), (2, None)):
+        steps = (BesStep(Block(edge, bad), 2), triangle)
+        assert not cr.validate_bes(g, BlockEliminationScheme(steps, 0)), bad
+    # 3 was removed with the pendant edge
+    again = BesStep(Block(edge, (3, 2)), 2)
+    assert not cr.validate_bes(g, BlockEliminationScheme((pendant, again, triangle), 0))
+    bare = (tuple(pendant), triangle)
+    assert not cr.validate_bes(g, BlockEliminationScheme(bare, 0))
+
+
 def test_validate_bes_accepts_rotated_cycle_listing():
     # a cycle block may be listed starting anywhere along the ring
     g = triangle_with_pendant()

@@ -129,6 +129,10 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert main(["rank", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: line 3") and err.count("\n") == 1
+    # "\r" ends a line for a non-ASCII byte as for any other error
+    path.write_bytes(b"n 2\re 0 1\rd 0 \xff\r")
+    assert main(["rank", str(path)]) == 2
+    assert capsys.readouterr().err == "parse error: line 3: non-ASCII byte 0xff\n"
 
 
 def test_exit_code_missing_file(tmp_path, capsys):

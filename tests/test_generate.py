@@ -34,6 +34,12 @@ def test_splitmix64_seed_masked_to_64_bits():
     assert SplitMix64(2**64 + 5).next_u64() == SplitMix64(5).next_u64()
 
 
+def test_splitmix64_randrange_is_the_draw_modulo_k():
+    for k in (1, 2, 7, 1000, 2**64 + 1):
+        r, s = SplitMix64(99), SplitMix64(99)
+        assert [r.randrange(k) for _ in range(50)] == [s.next_u64() % k for _ in range(50)]
+
+
 @pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1, 2**64 + 5])
 def test_batched_stream_matches_scalar(seed):
     # 20,000 draws cross every batch-size step (16 .. 4096, 8176 draws in

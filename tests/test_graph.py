@@ -62,12 +62,40 @@ def test_divisor_arithmetic():
     assert a.degree == 2
     assert not a.is_effective()
     assert b.is_effective()
+    for op in (a.__add__, a.__sub__):
+        with pytest.raises(cr.GraphError, match="divisor length mismatch"):
+            op(cr.Divisor([1, 2]))
 
 
 def test_index_divisor():
     e = cr.index_divisor(4, 2)
     assert tuple(e) == (0, 0, 1, 0)
     assert e.degree == 1
+
+
+def test_vertex_arguments_out_of_range():
+    g = cycle_graph(3)
+    for call in (lambda: g.degree(3), lambda: g.degree(-1),
+                 lambda: g.multiplicity(0, 3), lambda: g.multiplicity(-1, 0),
+                 lambda: cr.index_divisor(3, 3), lambda: cr.index_divisor(3, -1),
+                 lambda: cr.laplacian_row(g, 3), lambda: cr.laplacian_row(g, -1)):
+        with pytest.raises(cr.GraphError, match="out of range"):
+            call()
+    assert g.degree(2) == 2 and g.multiplicity(0, 1) == 1
+
+
+def test_apply_firing_length_mismatch():
+    g = cycle_graph(3)
+    for f, x in (([0, 0], [0, 0, 0]), ([0, 0, 0], [1, 1]), ([0] * 4, [0] * 4)):
+        with pytest.raises(cr.GraphError, match="length mismatch"):
+            cr.apply_firing(g, f, x)
+
+
+def test_multigraph_eq_other_types_and_sizes():
+    g = cycle_graph(3)
+    assert g != "graph" and g != g.edges
+    assert g.__eq__(g.edges) is NotImplemented
+    assert cr.Multigraph(3, [(0, 1)]) != cr.Multigraph(4, [(0, 1)])
 
 
 def test_laplacian_rows():

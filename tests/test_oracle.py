@@ -122,6 +122,13 @@ def test_oracle_rank_guards():
     assert cr.oracle_rank(cr.Multigraph(1, []), [20], max_rank=21) == 20
 
 
+def test_oracle_rank_argument_errors():
+    with pytest.raises(cr.GraphError, match="divisor length mismatch"):
+        cr.oracle_rank(path_graph(3), [0, 0])
+    with pytest.raises(cr.DisconnectedGraphError):
+        cr.oracle_rank(cr.Multigraph(3, [(0, 1)]), [0, 0, 0])
+
+
 def random_multigraph(rng: random.Random, n: int) -> cr.Multigraph:
     """A random spanning tree plus up to 2n extra edges, parallel ones
     included: cacti and non-cacti alike."""

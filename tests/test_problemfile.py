@@ -346,6 +346,35 @@ def test_unseekable_streams():
         assert from_pipe == cr.parse_file(raw) == cr.parse_string(CANON)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_non_ascii_byte_on_the_line_of_a_syntax_error(monkeypatch, tmp_path, chunk, brk):
+    # lines end where str.splitlines() ends them, for a non-ASCII byte too,
+    # through every entry point and whatever the run size
+    if chunk:
+        monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
+
+    def text(chip):
+        return brk.join(["n 2", "# comment", "e 0 1", f"d 0 {chip}", ""])
+
+    with pytest.raises(cr.ParseError) as syntax:
+        cr.parse_string(text("x"))
+    assert str(syntax.value) == "line 4: divisor entries must be integers"
+    data = text("\xff").encode("latin-1")
+    path = tmp_path / "prob.txt"
+    path.write_bytes(data)
+    for source in (str(path), io.BytesIO(data), _Unseekable(data)):
+        with pytest.raises(cr.ParseError) as exc:
+            cr.parse_file(source)
+        assert str(exc.value) == "line 4: non-ASCII byte 0xff"
+    # str input is read as its UTF-8 bytes, a lone surrogate's included
+    for chip, byte in (("\xe9", 0xC3), ("\ud800", 0xED)):
+        for parse in (cr.parse_string, lambda t: cr.parse_file(io.StringIO(t))):
+            with pytest.raises(cr.ParseError) as exc:
+                parse(text(chip))
+            assert str(exc.value) == f"line 4: non-ASCII byte 0x{byte:02x}"
+
+
 def test_vertex_count_beyond_the_id_range():
     # edge ids are stored as C ints, so larger vertex counts are refused at
     # the header rather than at the first edge
