@@ -17,6 +17,11 @@ depends on the block:
                 Both branches must be evaluated; taking the +1 branch alone
                 overshoots on some inputs (see the regression tests).
 
+Every rung below reads one funnel over the scan: it moves each block's
+chips onto the attachment and gives each cycle the positional residue
+sum(pos * w) mod k of the chips w that reach its positions, which vanishes
+exactly when the cycle is good (see _funnel).
+
 Before the scan starts, the engine checks the degree regimes that admit
 direct answers, which is also what keeps the common cases linear.  It reads
 the cycle count as m - n + 1, the number of cycle blocks of a connected
@@ -24,24 +29,24 @@ cactus.  Every rung reads the scan to its end, even once its answer is
 known, so a graph that is not a connected cactus raises at every degree:
 
   deg < 0                rank is -1;
-  deg = 0                rank is 0 when every cycle's positional residue
-                         vanishes (the divisor class is trivial), else -1;
+  deg = 0                rank is 0 when the funnel meets no bad cycle (the
+                         divisor class is trivial), else -1;
   deg > 2*cycles - 2     rank is deg - cycles;
   deg = 2*cycles - 2     mirror through the canonical divisor K (Riemann-Roch,
                          Baker-Norine 2007): K - f has degree 0, so its rank
-                         is 0 or -1 by the same residue sweep run over K - f,
-                         and rank = rank(K - f) + cycles - 1.
+                         is 0 or -1 by the funnel read over K - f, and
+                         rank = rank(K - f) + cycles - 1.
 
-Degrees strictly inside (0, 2*cycles - 2) take one bottom-up path DP, one
-block per step.  Flattening the nested min gives
+Degrees strictly inside (0, 2*cycles - 2) take one bottom-up path DP over
+the funnel, one block per step.  Flattening the nested min gives
 
     rank = min over charge/skip paths of max(D - L + c, c - 1)
 
 where c counts the charged good cycles on a path and L = b + 2c is the
 chips it loses: one at each of its b bad cycles, two per charge.  A path
 through the blocks hanging below a vertex u leaves S_u - L_u chips on u,
-S_u being the chips on u and on those blocks, so the cycle above u is good
-exactly when sum(pos * (S_u - L_u)) vanishes mod k.
+S_u being the chips the funnel moves onto u, so the cycle above u is good
+exactly when its funnel residue minus sum(pos * L_u) vanishes mod k.
 
 Losing more chips below a vertex never raises the rank, so for each vertex
 and each c the DP keeps only the largest L.  An extra lost chip matters only
@@ -113,6 +118,42 @@ def _raise(out: list, xs: list, c: int, lost: int, size: int) -> None:
                   for x, y in zip(xs, out[c:end])]
 
 
+def _funnel(blocks, f: Sequence[int], sign: int):
+    """Eliminate the blocks of the scan in turn, funnelling each one's chips
+    onto its attachment, and yield (kind, vs, residue) per block: for a cycle
+    of length k, sum(pos * w) mod k over the chips w that reach each position
+    pos >= 1, its own and those funnelled onto it; 0 for an edge.  A cycle
+    is good (its chips are equivalent to zero on it) iff its residue is 0.
+
+    sign 1 reads the chips of f, sign -1 those of K - f, K the canonical
+    divisor, without building it: K(u) + 2 is u's degree, its own block's
+    share (1 on an edge, 2 on a cycle) plus the shares of the blocks hanging
+    at u, which are funnelled with their chips.  On a cycle each vertex's
+    share cancels its -2 and the cycle hands its share of 2 to the
+    attachment; an edge's end nets -1 and the edge hands 1 down.
+    """
+    extra: dict = {}
+    pop = extra.pop
+    for kind, vs in blocks:
+        a = vs[0]
+        if kind == 0:
+            u = vs[1]
+            s = sign * f[u] + pop(u, 0)
+            res = 0
+        else:
+            k = len(vs)
+            s = 1 - sign  # for K - f, the cycle's share of 2
+            res = 0
+            for pos in range(1, k):
+                u = vs[pos]
+                w = sign * f[u] + pop(u, 0)
+                s += w
+                res += pos * w
+            res %= k
+        extra[a] = extra.get(a, 0) + s
+        yield kind, vs, res
+
+
 def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
     """Rank of divisor f on the connected cactus g.
 
@@ -130,47 +171,18 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
     cycles = g.num_edges - g.n + 1
     deg = sum(f)
 
-    def residues_zero(sign: int) -> bool:
-        # a degree-0 class is trivial iff every cycle's positional residue
-        # is zero; chips funnel toward the root, entering each cycle at the
-        # position where their branch attaches.  sign 1 tests f, sign -1
-        # tests K - f, K the canonical divisor: K(u) + 2 is u's degree,
-        # its own block's share (1 on an edge, 2 on a cycle) plus the shares
-        # of the blocks hanging at u, which are handed down with their
-        # chips.  On a cycle each vertex's share cancels its -2 and the
-        # cycle hands down its share of 2 at the attachment; an edge's end
-        # nets -1 and the edge hands down 1.
-        extra: dict = {}
-        pop = extra.pop
-        for kind, vs in blocks:
-            a = vs[0]
-            if kind == 0:
-                u = vs[1]
-                extra[a] = extra.get(a, 0) + sign * f[u] + pop(u, 0)
-            else:
-                k = len(vs)
-                s = 0
-                res = 0
-                for pos in range(1, k):
-                    u = vs[pos]
-                    w = sign * f[u] + pop(u, 0)
-                    s += w
-                    res += pos * w
-                if res % k:
-                    return False
-                extra[a] = extra.get(a, 0) + s + 1 - sign
-        return True
-
     top = 2 * cycles - 2
     regime = None
     if deg < 0:
         r, regime = -1, "negative-degree"
     elif deg == 0:
-        r, regime = (0 if residues_zero(1) else -1), "zero-degree"
+        r = -1 if any(res for *_, res in _funnel(blocks, f, 1)) else 0
+        regime = "zero-degree"
     elif deg > top:
         r, regime = deg - cycles, "high-degree"
     elif deg == top:
-        r, regime = (0 if residues_zero(-1) else -1) + cycles - 1, "mirror"
+        r = (-1 if any(res for *_, res in _funnel(blocks, f, -1)) else 0) + cycles - 1
+        regime = "mirror"
     if regime is not None:
         # the rest of the scan, which raises unless g is a connected cactus
         for _ in blocks:
@@ -180,39 +192,29 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
 
     # the path DP.  best[v][c]: the most chips L = b + 2c that a path
     # through the blocks below v can lose with c <= deg charges, absent
-    # for [0]; extra[v]: the chips handed down to v, so v ends with
-    # f[v] + extra[v] - L chips.  Traced, log keeps per block its kind and
-    # vertices, the list at its attachment before it, its own list, its
-    # loaded positions and the residue states after each.
+    # for [0]; v ends with the chips funnelled onto it minus L.  Traced, log
+    # keeps per block its kind and vertices, the list at its attachment
+    # before it, its own list, its loaded positions and the residue states
+    # after each.
     size = deg + 1
-    extra: dict = {}
     best: dict = {}
-    pop = extra.pop
     take = best.pop
     log = [] if trace else None
-    for kind, vs in blocks:
+    for kind, vs, res in _funnel(blocks, f, 1):
         a = vs[0]
         below = seq = None
         if kind == 0:
-            u = vs[1]
-            s = f[u] + pop(u, 0)
-            p = take(u, None)
+            p = take(vs[1], None)
         else:
             k = len(vs)
-            s = 0
-            res = 0
             below = []
             for j in range(1, k):
-                u = vs[j]
-                w = f[u] + pop(u, 0)
-                s += w
-                res += j * w
-                q = take(u, None)
+                q = take(vs[j], None)
                 if q is not None:
                     below.append((j, q))
             # residue -> best losses reachable with it; losing L more
             # chips at position j takes j * L off the residue
-            states = {res % k: [0]}
+            states = {res: [0]}
             if log is not None:
                 seq = [states]
             for j, q in below:
@@ -235,7 +237,6 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
                 else:
                     _raise(p, xs, 0, 0, size)
                     _raise(p, xs, 1, 2, size)
-        extra[a] = extra.get(a, 0) + s
         q = None
         if p is not None:
             q = take(a, None)

@@ -19,7 +19,8 @@ of a file or of str input's UTF-8, is a ParseError before any other error.
 
 Both passes read the file a run of about 64 KB at a time, so a file's bytes
 are never held at once; the fallback seeks back to where the fast path
-began, first checks every byte is ASCII and then parses the lines.
+began and parses the lines.  On an error it reads on to the end of the
+file, so that a non-ASCII byte on a later line is the error reported.
 """
 
 from __future__ import annotations
@@ -101,80 +102,75 @@ def _lines(fh):
         yield from lines
 
 
-def _check_ascii(fh) -> None:
-    # the first non-ASCII byte is reported before the line parser can report
-    # an error on an earlier line: when a run is not ASCII, the lines are
-    # read from the start until _lines raises at that byte
-    start = fh.tell()
-    runs = _Runs(fh)
-    while run := runs(b"\n"):
-        if not run.isascii():
-            fh.seek(start)
-            for _ in _lines(fh):
-                pass
-
-
 def _parse_lines(fh):
     n = None
     ends = array("i")
     add_end = ends.append
     divisor = None
     lineno = 0
-    for lineno, raw in enumerate(_lines(fh), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        # enough parts to check an n or an e line; the divisor line is split
-        # below, a run at a time
-        parts = line.split(None, 3)
-        tag = parts[0]
-        if tag == "n":
-            if n is not None:
-                raise ParseError("duplicate n header", lineno)
-            if len(parts) != 2:
-                raise ParseError("n header takes one value", lineno)
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
-            if n < 1:
-                raise ParseError("vertex count must be at least 1", lineno)
-            if n > _MAX_VERTICES:
-                raise ParseError(f"vertex count above {_MAX_VERTICES}", lineno)
-        elif tag == "e":
-            if n is None:
-                raise ParseError("edge before n header", lineno)
-            if divisor is not None:
-                raise ParseError("edge after divisor line", lineno)
-            if len(parts) != 3:
-                raise ParseError("edge line takes two endpoints", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("edge endpoints must be integers", lineno) from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"line {lineno}: loop edge ({u}, {u}) not allowed")
-            add_end(u)
-            add_end(v)
-        elif tag == "d":
-            if n is None:
-                raise ParseError("divisor before n header", lineno)
-            if divisor is not None:
-                raise ParseError("duplicate divisor line", lineno)
-            # split a run at a time; a space never falls inside an entry
-            try:
-                divisor = Divisor(map(int, chain.from_iterable(
-                    line[lo:hi].split() for lo, hi in _spans(line, 1, " "))))
-            except ValueError:
-                raise ParseError("divisor entries must be integers", lineno) from None
-            if len(divisor) != n:
-                raise GraphError(
-                    f"line {lineno}: divisor has {len(divisor)} entries, expected {n}"
-                )
-        else:
-            raise ParseError(f"unknown directive {tag!r}", lineno)
+    lines = _lines(fh)
+    try:
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            # enough parts to check an n or an e line; the divisor line is split
+            # below, a run at a time
+            parts = line.split(None, 3)
+            tag = parts[0]
+            if tag == "n":
+                if n is not None:
+                    raise ParseError("duplicate n header", lineno)
+                if len(parts) != 2:
+                    raise ParseError("n header takes one value", lineno)
+                try:
+                    n = int(parts[1])
+                except ValueError:
+                    raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
+                if n < 1:
+                    raise ParseError("vertex count must be at least 1", lineno)
+                if n > _MAX_VERTICES:
+                    raise ParseError(f"vertex count above {_MAX_VERTICES}", lineno)
+            elif tag == "e":
+                if n is None:
+                    raise ParseError("edge before n header", lineno)
+                if divisor is not None:
+                    raise ParseError("edge after divisor line", lineno)
+                if len(parts) != 3:
+                    raise ParseError("edge line takes two endpoints", lineno)
+                try:
+                    u, v = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise ParseError("edge endpoints must be integers", lineno) from None
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise GraphError(f"line {lineno}: loop edge ({u}, {u}) not allowed")
+                add_end(u)
+                add_end(v)
+            elif tag == "d":
+                if n is None:
+                    raise ParseError("divisor before n header", lineno)
+                if divisor is not None:
+                    raise ParseError("duplicate divisor line", lineno)
+                # split a run at a time; a space never falls inside an entry
+                try:
+                    divisor = Divisor(map(int, chain.from_iterable(
+                        line[lo:hi].split() for lo, hi in _spans(line, 1, " "))))
+                except ValueError:
+                    raise ParseError("divisor entries must be integers", lineno) from None
+                if len(divisor) != n:
+                    raise GraphError(
+                        f"line {lineno}: divisor has {len(divisor)} entries, expected {n}"
+                    )
+            else:
+                raise ParseError(f"unknown directive {tag!r}", lineno)
+    except (ParseError, GraphError):
+        # a non-ASCII byte is reported before an error on an earlier line:
+        # read on, and _lines raises at the first such byte after it
+        for _ in lines:
+            pass
+        raise
     if n is None:
         raise ParseError("missing n header", lineno or None)
     if divisor is None:
@@ -274,8 +270,6 @@ def _parse(fh, check_connected: bool):
     start = fh.tell()
     parsed = _parse_canonical(fh)
     if parsed is None:
-        fh.seek(start)
-        _check_ascii(fh)
         fh.seek(start)
         parsed = _parse_lines(fh)
     n, ends, divisor = parsed

@@ -5,6 +5,8 @@ from array import array
 import pytest
 
 import cactusrank as cr
+from cactusrank.blocks import _scan
+from cactusrank.engine import _funnel
 
 from .helpers import (
     bowtie,
@@ -369,6 +371,47 @@ def test_residue_sweep_at_genus_6_to_8():
             verdicts.add(res.rank - (0 if regime == "zero-degree" else gn - 1))
             hits += 1
         assert verdicts == {0, -1}, regime
+
+
+def test_funnel_reads_k_minus_f_without_building_it():
+    # sign -1 hands each block's share of K down at its attachment; block by
+    # block, the residues match those of K - f funnelled as chips.  Half the
+    # divisors are K moved by a random firing, whose residues all vanish.
+    rng = random.Random(1603)
+    verdicts = set()
+    for _ in range(300):
+        g = random_cactus(rng, max_n=30, max_genus=8, max_cycle_len=6)
+        k = cr.canonical_divisor(g)
+        if rng.random() < 0.5:
+            f = cr.apply_firing(g, k, [rng.randint(-2, 2) for _ in range(g.n)])
+        else:
+            f = random_divisor(rng, g.n)
+        mirrored = list(_funnel(_scan(g), f, -1))
+        assert mirrored == list(_funnel(_scan(g), k - f, 1)), (g.edges, tuple(f))
+        verdicts.add(any(res for *_, res in mirrored))
+    assert verdicts == {False, True}
+
+
+class _CountedReads(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_degree_0_and_mirror_stop_at_the_first_bad_cycle():
+    # the two rungs read f (or K - f) only up to the first bad cycle and then
+    # drain the scan, which keeps the 2^20 mirror call to the parse and the
+    # scan; a pass over every block would read f once per vertex
+    n = 1 << 10
+    for seed in range(3):
+        for deg in (0, 2 * (n // 8) - 2):
+            g, f = cr.generate(cr.GeneratorParams(
+                vertices=n, cycles=n // 8, max_cycle_len=8, divisor_degree=deg, seed=seed))
+            counted = _CountedReads(f)
+            assert cr.rank(g, counted) == cr.rank(g, f)
+            assert counted.reads < n // 8, (seed, deg, counted.reads)
 
 
 # a triangle at vertex 0 comes first in the scan, then the part that is not

@@ -265,14 +265,19 @@ def test_non_ascii_byte_reports_first_position():
         assert str(exc.value) == f"line {line}: non-ASCII byte 0x{byte:02x}"
 
 
-def test_non_ascii_byte_reported_before_an_earlier_syntax_error(tmp_path):
-    data = b"n 3\nq 0 1\ne 1 2\ne 2 \xe90\nd 0 0 0\n"
+def test_non_ascii_byte_reported_before_an_earlier_syntax_error(tmp_path, monkeypatch):
+    # an unknown directive (ParseError) or an out-of-range edge (GraphError)
+    # on line 2; at _CHUNK 1 and 7 the byte on line 4 is in a later run
     path = tmp_path / "prob.txt"
-    path.write_bytes(data)
-    for source in (str(path), io.BytesIO(data)):
-        with pytest.raises(cr.ParseError) as exc:
-            cr.parse_file(source)
-        assert str(exc.value) == "line 4: non-ASCII byte 0xe9"
+    for chunk in (1, 7, cactusrank.problemfile._CHUNK):
+        monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
+        for second in (b"q 0 1", b"e 0 9"):
+            data = b"n 3\n" + second + b"\ne 1 2\ne 2 \xe90\nd 0 0 0\n"
+            path.write_bytes(data)
+            for source in (str(path), io.BytesIO(data)):
+                with pytest.raises(cr.ParseError) as exc:
+                    cr.parse_file(source)
+                assert str(exc.value) == "line 4: non-ASCII byte 0xe9", (chunk, second)
 
 
 @pytest.mark.parametrize("chunk, n", [(1, 30), (7, 30), (None, 40000)])
