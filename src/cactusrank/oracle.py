@@ -9,6 +9,21 @@ identity checker.
 The search is exponential by design (rank is NP-hard on general graphs,
 Kiss-Tothmeresz 2015); oracle_rank refuses instances beyond its guards
 instead of hanging.
+
+The search names a class by its 0-reduced form, split into the chips on
+vertex 0 and the rest, the non-base part.  A child class, one chip off v,
+needs a reduction only when v != 0 holds no chip, and that reduction is a
+cached step.  Reducing never fires vertex 0 and never reads its count, so
+the step's outcome depends only on the non-base part and v: the chips it
+moves onto vertex 0 and the new non-base part.  Computed once, it serves
+every chip count on vertex 0.  A step runs the debt-clearing stage alone.
+The non-base part of a 0-reduced form is superstable, so its mirror
+(deg(u) - 1 - vals[u] at each u) is a recurrent sandpile with sink 0;
+taking a chip off v adds a grain there, borrowing is toppling in the
+mirror, and stabilising a recurrent configuration plus one grain gives a
+recurrent one (Dhar 1990).  Its mirror is superstable again, so the form
+is reduced and a burning pass would fire nothing.  The root reduction and
+q_reduce run both stages from scratch.
 """
 
 from __future__ import annotations
@@ -89,6 +104,31 @@ def _reduce_in_place(adj, deg, vals: list, q: int) -> list:
                     vals[u] += t * m
 
 
+def _step(nbrs, deg, rest: tuple, v: int) -> tuple[int, tuple]:
+    """One chip off v != 0, which holds none, in a 0-reduced form whose
+    entries but vertex 0's are rest: returns (chips moved onto vertex 0, the
+    new entries but vertex 0's).  Only stage 1 of _reduce_in_place runs, on a
+    worklist: a vertex in debt borrows ceil(-vals[v] / deg(v)) times at
+    once, and each neighbour it pushes into debt joins the list.  The result
+    is already reduced (see the module docstring), and vertex 0's count is
+    never read, so it holds for every count there.  nbrs[u] lists u's
+    (neighbour, multiplicity) pairs."""
+    vals = [0, *rest]
+    vals[v] = -1
+    work = [v]
+    while work:
+        v = work.pop()
+        d = deg[v]
+        k = (d - 1 - vals[v]) // d
+        vals[v] += k * d
+        for u, m in nbrs[v]:
+            x = vals[u]
+            vals[u] = x - k * m
+            if u and 0 <= x < k * m:
+                work.append(u)
+    return vals[0], tuple(vals[1:])
+
+
 def q_reduce(g: Multigraph, f: Sequence[int], q: int) -> ReducedDivisor:
     """Unique q-reduced divisor linearly equivalent to f.  Idempotent."""
     if not 0 <= q < g.n:
@@ -124,8 +164,10 @@ def oracle_rank(
     Every effective divisor of degree r >= 1 is v + E', so rank(D) >= r iff
     rank(D - v) >= r - 1 at every vertex v.  Rank is a class invariant, so
     the search runs over linear-equivalence classes, each named by its
-    0-reduced form, and no class is reduced or decided twice.  It deepens
-    r = 1, 2, ... from the class of f and stops at the first r it refutes.
+    0-reduced form, and no class is reduced or decided twice; a child's
+    reduction is a step cached by the non-base part and v (module
+    docstring).  It deepens r = 1, 2, ... from the class of f and stops at
+    the first r it refutes.
 
     Refuses instances with n > max_vertices or a search passing max_rank
     (OracleLimitError) rather than grinding through an enormous search.
@@ -144,13 +186,16 @@ def oracle_rank(
     vals = _reduce_in_place(adj, deg, list(f), 0)
     if vals[0] < 0:
         return -1
-    # one record per class: [0-reduced form, the records of its n children
-    # form - v (None until needed), largest r proven, smallest r refuted];
-    # no query passes max_rank, so max_rank + 1 stands for "not refuted"
+    # one record per class: [0-reduced form as (chips on 0, non-base part),
+    # the records of its n children form - v (None until needed), largest r
+    # proven, smallest r refuted]; no query passes max_rank, so
+    # max_rank + 1 stands for "not refuted"
     classes = {}
+    # (non-base part, v) -> (chips moved onto 0, new non-base part)
+    steps = {}
+    nbrs = [tuple(a.items()) for a in adj]
 
-    def record(vals: list) -> list:
-        form = tuple(vals)
+    def record(form: tuple) -> list:
         rec = classes.get(form)
         if rec is None:
             if form[0] >= 0:
@@ -161,16 +206,24 @@ def oracle_rank(
         return rec
 
     def child(rec: list, v: int) -> list:
-        # a chip off q, or off a vertex that still has one, leaves the form
-        # reduced; only a vertex going into debt needs a reduction
-        vals = list(rec[0])
-        vals[v] -= 1
-        if v and vals[v] < 0:
-            _reduce_in_place(adj, deg, vals, 0)
-        kid = rec[1][v] = record(vals)
+        # a chip off vertex 0, or off a vertex that still has one, leaves
+        # the form reduced; only a vertex going into debt needs a step
+        chips, rest = rec[0]
+        if not v:
+            kid = (chips - 1, rest)
+        elif rest[v - 1]:
+            vals = list(rest)
+            vals[v - 1] -= 1
+            kid = (chips, tuple(vals))
+        else:
+            step = steps.get((rest, v))
+            if step is None:
+                step = steps[rest, v] = _step(nbrs, deg, rest, v)
+            kid = (chips + step[0], step[1])
+        kid = rec[1][v] = record(kid)
         return kid
 
-    root = record(vals)
+    root = record((vals[0], tuple(vals[1:])))
     r = 1
     while True:
         if r > max_rank:

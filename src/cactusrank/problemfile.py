@@ -19,8 +19,9 @@ of a file or of str input's UTF-8, is a ParseError before any other error.
 
 Both passes read the file a run of about 64 KB at a time, so a file's bytes
 are never held at once; the fallback seeks back to where the fast path
-began and parses the lines.  On an error it reads on to the end of the
-file, so that a non-ASCII byte on a later line is the error reported.
+began and parses the lines.  On an error it checks the file with isascii(),
+so that a non-ASCII byte on a later line is the error reported; only when
+there is one are the lines read again, up to that byte, to number its line.
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ def _lines(fh):
 
 
 def _parse_lines(fh):
+    start = fh.tell()
     n = None
     ends = array("i")
     add_end = ends.append
@@ -166,10 +168,15 @@ def _parse_lines(fh):
             else:
                 raise ParseError(f"unknown directive {tag!r}", lineno)
     except (ParseError, GraphError):
-        # a non-ASCII byte is reported before an error on an earlier line:
-        # read on, and _lines raises at the first such byte after it
-        for _ in lines:
-            pass
+        # a non-ASCII byte is reported before an error on an earlier line.
+        # isascii() looks for one; only if there is one does _lines read the
+        # file again, from the start, to raise on that byte's line
+        fh.seek(start)
+        while run := fh.read(_CHUNK):
+            if not run.isascii():
+                fh.seek(start)
+                for _ in _lines(fh):
+                    pass
         raise
     if n is None:
         raise ParseError("missing n header", lineno or None)

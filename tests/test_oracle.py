@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cactusrank as cr
+from cactusrank import oracle
 from cactusrank.cli import main
+from cactusrank.oracle import _reduce_in_place
 
 from .helpers import (
     cycle_graph,
@@ -177,11 +179,65 @@ def test_oracle_deep_search_without_recursion(tmp_path, capsys):
         sys.setrecursionlimit(before)
 
 
+def test_cached_step_equals_reduction_from_scratch(monkeypatch):
+    # the step cache's premise: one chip off an empty v != 0 in a 0-reduced
+    # form reduces, by the debt-clearing stage alone, to the same form as
+    # both stages from scratch, whatever the chip count on vertex 0
+    computed = []
+    real = oracle._step
+
+    def spy(nbrs, deg, rest, v):
+        computed.append((rest, v))
+        return real(nbrs, deg, rest, v)
+
+    monkeypatch.setattr(oracle, "_step", spy)
+    rng = random.Random(1990)
+    graphs = parallel = not_cacti = 0
+    while graphs < 100:
+        g = random_multigraph(rng, rng.randint(2, 12))
+        # degrees near the genus: ranks -1 to 2 all occur
+        f = random_divisor(rng, g.n, lo=-1, hi=4, max_deg=cr.genus(g) + rng.randint(-1, 2))
+        computed.clear()
+        rank = outcome(cr.oracle_rank, g, f, 3)
+        if rank == "limit":
+            continue
+        graphs += 1
+        parallel += len(set(g.edges)) < len(g.edges)
+        not_cacti += not cr.is_cactus(g)
+        # each step computed once: the search reuses it from the cache
+        assert len(set(computed)) == len(computed)
+        adj, deg = g.adjacency, g.degrees
+        nbrs = [tuple(a.items()) for a in adj]
+        # every form the search can expand: within the rank of the root,
+        # children reduced from scratch
+        level = {tuple(_reduce_in_place(adj, deg, list(f), 0))}
+        reached = set(level)
+        for _ in range(rank):
+            level = {tuple(_reduce_in_place(adj, deg, [x - (u == v) for u, x in enumerate(form)], 0))
+                     for form in level for v in range(g.n)} - reached
+            reached |= level
+        checked = set()
+        for form in reached:
+            rest = form[1:]
+            for v in range(1, g.n):
+                if rest[v - 1]:
+                    continue
+                moved, kid = real(nbrs, deg, rest, v)
+                for chips in (form[0], form[0] - 5):
+                    vals = [chips, *rest]
+                    vals[v] -= 1
+                    assert _reduce_in_place(adj, deg, vals, 0) == [chips + moved, *kid], (
+                        g.edges, form, v, chips)
+                checked.add((rest, v))
+        assert set(computed) <= checked
+    assert parallel and not_cacti
+
+
 def test_oracle_rank_time():
     # the oracle-small benchmark's degree-10 family (rank deg - g = 6), in
     # process.  On a 2-vCPU Xeon VM (CPython 3.11.7) best of 3 measured
-    # 0.31-0.45 s, and 6.5-8.5 s with every effective divisor enumerated;
-    # the bound leaves 4x of margin and still fails the enumeration.
+    # 36-57 ms, 0.23-0.37 s without the step cache and 6.5-8.5 s with every
+    # effective divisor enumerated; the bound still fails the enumeration.
     problems = [cr.generate(cr.GeneratorParams(12, 4, 8, 10, s)) for s in range(8)]
     best = math.inf
     for _ in range(3):
@@ -190,6 +246,21 @@ def test_oracle_rank_time():
             assert cr.oracle_rank(g, f) == f.degree - cr.genus(g), g.edges
         best = min(best, time.perf_counter() - t0)
     assert best < 2.0, best
+
+
+def test_oracle_small_reduction_count(monkeypatch):
+    # a work gate beside the timed one: the reductions the 24 oracle-small
+    # problems take, counted, so timing noise cannot move it.  22,749 when
+    # every child in debt was reduced in full; 8,737 with the step cache
+    calls = []
+    for name in ("_reduce_in_place", "_step"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, _real=real: calls.append(1) or _real(*a))
+    for s in range(8):
+        for d in (6, 8, 10):
+            g, f = cr.generate(cr.GeneratorParams(12, 4, 8, d, s))
+            assert cr.oracle_rank(g, f) == cr.rank(g, f).rank, (s, d)
+    assert len(calls) < 9000, len(calls)
 
 
 def test_oracle_rank_invariant_under_firing():

@@ -280,6 +280,30 @@ def test_non_ascii_byte_reported_before_an_earlier_syntax_error(tmp_path, monkey
                 assert str(exc.value) == "line 4: non-ASCII byte 0xe9", (chunk, second)
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_clean_runs_after_an_error_are_not_decoded(monkeypatch, chunk):
+    # after an error the rest of the file is only checked with isascii():
+    # _lines gives out no line past the one in error.  At _CHUNK 1 and 7 a
+    # run holds a line or two, so the lines given out are the runs decoded
+    monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
+    real = cactusrank.problemfile._lines
+    given = []
+
+    def counted(fh):
+        for line in real(fh):
+            given.append(line)
+            yield line
+
+    monkeypatch.setattr(cactusrank.problemfile, "_lines", counted)
+    n = 2000
+    text = "".join([f"n {n}\nq 0 1\n", *(f"e {i} {i + 1}\n" for i in range(n - 1)),
+                    "d " + " ".join(["0"] * n) + "\n"])
+    with pytest.raises(cr.ParseError) as exc:
+        cr.parse_string(text)
+    assert str(exc.value) == "line 2: unknown directive 'q'"
+    assert given == [f"n {n}", "q 0 1"]
+
+
 @pytest.mark.parametrize("chunk, n", [(1, 30), (7, 30), (None, 40000)])
 def test_error_in_the_last_edge_run(monkeypatch, chunk, n):
     # canonical but for the last edge line: the line parser's error, with
