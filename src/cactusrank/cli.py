@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .graph import GraphError, NotCactusError, OracleLimitError
-from .problemfile import ParseError, parse_file, serialize
+from .problemfile import ParseError, _text_runs, parse_file
 
 
 def _cmd_rank(args) -> int:
@@ -102,7 +102,7 @@ def _cmd_gen(args) -> int:
         print(f"gen: {e}", file=sys.stderr)
         return 2
     g, f = generate(params)
-    sys.stdout.write(serialize(g, f))
+    sys.stdout.writelines(_text_runs(g, f))
     return 0
 
 

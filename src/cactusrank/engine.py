@@ -62,16 +62,19 @@ list runs past c = D.  The charge counts reachable below a vertex run
 range, and a good one's skip side keeps it while its charged side gives
 1..max+1.  So only a cycle's per-residue lists can hold an unreachable
 count.  The DP is polynomial, not linear: the lists grow with the cycles
-below a vertex, and merging two costs the product of their lengths.  At
-degree g - 1 on the generator's family (n/8 cycles of length up to 8, seed
-101) it takes 4.0 ms at n = 2^10, 17 ms at 2^12, 69 ms at 2^14 and 0.57 s
-at 2^16 (2-vCPU Xeon VM, CPython 3.11.7).
+below a vertex, and merging two costs the product of their lengths; README
+"Performance" has the timings.
 
-With trace=True the pass also keeps each block's vertices, each cycle's
-residue states, position by position, and both operands of each merge at a
-vertex, then reads the
-minimising (c, L) back from the root, blocks in reverse order: one record
-per block along that path, at a constant factor over the untraced pass.
+The list algebra is written once.  _product adds a list at one position of
+a ring of residue states: a cycle folds in each vertex's list with it, and
+a vertex merge is the ring of one.  _CLOSE is the closing rule, one row per
+side a cycle can take.  With trace=True the pass also logs each cycle's
+folds as (states before, position, list), its closing states and both
+operands of each vertex merge, then reads the minimising (c, L) back from
+the root, blocks in reverse order: _split, the inverse of _product, finds
+the operands of each entry (fewest charges first) and _CLOSE the side taken.
+That gives one record per block along the path, at a constant factor over
+the untraced pass.
 """
 
 from __future__ import annotations
@@ -116,6 +119,44 @@ def _raise(out: list, xs: list, c: int, lost: int, size: int) -> None:
         out.extend([_UNREACHABLE] * (end - len(out)))
     out[c:end] = [x + lost if x + lost > y else y
                   for x, y in zip(xs, out[c:end])]
+
+
+def _product(states: dict, q: list, j: int, k: int, size: int) -> dict:
+    """The residue states after list q is added at position j of a ring of
+    k: losing L more chips at position j takes j * L off the residue, so
+    out[(r - j * L) % k][c + c2] is the max of xs[c] + L over the states'
+    entries (r, xs[c]) and q's entries (c2, L), for c + c2 < size.  A vertex
+    merge is the ring of one: _product({0: longer}, shorter, 0, 1, size)[0].
+    The cost is the product of the lengths."""
+    out: dict = {}
+    for r, xs in states.items():
+        for c, lost in enumerate(q):
+            key = (r - j * lost) % k
+            o = out.get(key)
+            if o is None:
+                o = out[key] = []
+            _raise(o, xs, c, lost, size)
+    return out
+
+
+def _split(states: dict, q: list, j: int, k: int, res: int, c: int,
+           lost: int) -> tuple:
+    """The inverse of _product at one entry: the (c2, L2) of q, smallest c2
+    first, whose sum with an entry of states gives lost chips with c charges
+    at residue res.  The state it pairs with is at residue res + j * L2."""
+    for c2, x in enumerate(q):
+        xs = states.get((res + j * x) % k, ())
+        if 0 <= c - c2 < len(xs) and xs[c - c2] + x == lost:
+            return c2, x
+
+
+# how a block closes at its attachment, one row per side the path can take:
+# (charges, chips lost, kind, goodness, branch).  An edge loses nothing; a
+# cycle with residue not 0 is bad and loses one chip; a good one (_CLOSE[True])
+# skips, or charges and loses two.
+_EDGE = (0, 0, "edge", None, None)
+_CLOSE = (((0, 1, "cycle", "bad", None),),
+          ((0, 0, "cycle", "good", "skipped"), (1, 2, "cycle", "good", "charged")))
 
 
 def _funnel(blocks, f: Sequence[int], sign: int):
@@ -194,49 +235,32 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
     # through the blocks below v can lose with c <= deg charges, absent
     # for [0]; v ends with the chips funnelled onto it minus L.  Traced, log
     # keeps per block its kind and vertices, the list at its attachment
-    # before it, its own list, its loaded positions and the residue states
-    # after each.
+    # before it, its own list, its cycle's folds and its closing states.
     size = deg + 1
     best: dict = {}
     take = best.pop
     log = [] if trace else None
     for kind, vs, res in _funnel(blocks, f, 1):
         a = vs[0]
-        below = seq = None
+        folds = states = None
         if kind == 0:
             p = take(vs[1], None)
         else:
             k = len(vs)
-            below = []
+            # residue -> best losses reachable with it
+            states = {res: [0]}
+            if log is not None:
+                folds = []
             for j in range(1, k):
                 q = take(vs[j], None)
                 if q is not None:
-                    below.append((j, q))
-            # residue -> best losses reachable with it; losing L more
-            # chips at position j takes j * L off the residue
-            states = {res: [0]}
-            if log is not None:
-                seq = [states]
-            for j, q in below:
-                nxt: dict = {}
-                for r, xs in states.items():
-                    for c, lost in enumerate(q):
-                        key = (r - j * lost) % k
-                        out = nxt.get(key)
-                        if out is None:
-                            out = nxt[key] = []
-                        _raise(out, xs, c, lost, size)
-                states = nxt
-                if seq is not None:
-                    seq.append(states)
-            # bad: one chip lost; good: skip, or charge and lose two
+                    if folds is not None:
+                        folds.append((states, j, q))
+                    states = _product(states, q, j, k, size)
             p = []
             for r, xs in states.items():
-                if r:
-                    _raise(p, xs, 0, 1, size)
-                else:
-                    _raise(p, xs, 0, 0, size)
-                    _raise(p, xs, 1, 2, size)
+                for ch, dl, *_ in _CLOSE[r == 0]:
+                    _raise(p, xs, ch, dl, size)
         q = None
         if p is not None:
             q = take(a, None)
@@ -244,12 +268,9 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
                 best[a] = p
             else:
                 x, y = (q, p) if len(q) < len(p) else (p, q)
-                out = []
-                for c, lost in enumerate(x):
-                    _raise(out, y, c, lost, size)
-                best[a] = out
+                best[a] = _product({0: y}, x, 0, 1, size)[0]
         if log is not None:
-            log.append((kind, vs, q, p, below, seq))
+            log.append((kind, vs, q, p, folds, states))
     ends = best.get(0, [0])
     r, c = min((max(deg - lost + c, c - 1), c) for c, lost in enumerate(ends))
     if log is None:
@@ -258,44 +279,32 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
     # read the minimising path back, last block first.  need[v] = (c, L):
     # what the blocks hanging at v that are still to come must lose.
     need = {0: (c, ends[c])}
-    loss = [0] * len(log)
+    closed = [_EDGE] * len(log)
     for t in range(len(log) - 1, -1, -1):
-        kind, vs, q, p, below, seq = log[t]
+        kind, vs, q, p, folds, states = log[t]
         if p is None:
             continue
         a = vs[0]
         c, lost = need.pop(a)
         if q is not None:
             # split the merge at a between the earlier blocks and this one
-            c1 = next(i for i, x in enumerate(q)
-                      if 0 <= c - i < len(p) and x + p[c - i] == lost)
-            need[a] = (c1, q[c1])
-            c -= c1
-            lost -= q[c1]
-        if below is None:
+            c1, x = need[a] = _split({0: p}, q, 0, 1, 0, c, lost)
+            c, lost = c - c1, lost - x
+        if kind == 0:
             need[vs[1]] = (c, lost)
             continue
-        res, c, loss[t] = next(
-            (res, c - ch, dl) for res, xs in seq[-1].items()
-            for ch, dl in (((0, 1),) if res else ((0, 0), (1, 2)))
-            if 0 <= c - ch < len(xs) and xs[c - ch] + dl == lost)
-        lost -= loss[t]
+        res, closed[t] = next(
+            (res, side) for res, xs in states.items() for side in _CLOSE[res == 0]
+            if 0 <= c - side[0] < len(xs) and xs[c - side[0]] + side[1] == lost)
+        c, lost = c - closed[t][0], lost - closed[t][1]
         k = len(vs)
-        for (j, q), states in zip(reversed(below), reversed(seq[:-1])):
-            # losing x chips at position j took j * x off the residue
-            for c2, x in enumerate(q):
-                xs = states.get((res + j * x) % k, ())
-                if 0 <= c - c2 < len(xs) and xs[c - c2] + x == lost:
-                    break
-            need[vs[j]] = (c2, x)
+        for states, j, q in reversed(folds):
+            c2, x = need[vs[j]] = _split(states, q, j, k, res, c, lost)
             res, c, lost = (res + j * x) % k, c - c2, lost - x
-    names = {(0, 0): ("edge", None, None), (1, 1): ("cycle", "bad", None),
-             (1, 0): ("cycle", "good", "skipped"), (1, 2): ("cycle", "good", "charged")}
     rows = []
     d = deg
-    for t, (kind, vs, *_) in enumerate(log):
-        d -= loss[t]
-        name, good, branch = names[kind, loss[t]]
-        rows.append(TraceStep(t, name, vs[0], good, -loss[t], d, branch))
+    for t, ((_, vs, *_), (_, dl, name, good, branch)) in enumerate(zip(log, closed)):
+        d -= dl
+        rows.append(TraceStep(t, name, vs[0], good, -dl, d, branch))
     rows.append(TraceStep(len(log), "base", 0, None, 0, d, "path-dp"))
     return RankResult(r, tuple(rows))

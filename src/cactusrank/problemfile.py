@@ -314,18 +314,28 @@ def parse_file(source: Union[str, BinaryIO, TextIO], *, check_connected: bool = 
 _FILL = 1 << 12
 
 
-def _filled(fmt: str, width: int, items) -> str:
-    """fmt repeated len(items) // width times, filled from items in order:
-    one C-level % per run of _FILL copies, not one Python format per copy."""
+def _filled(fmt: str, width: int, items):
+    """fmt repeated len(items) // width times, filled from items in order, as
+    one string per run of _FILL copies: one C-level % per run, not one
+    Python format per copy."""
     step = width * _FILL
     full = fmt * _FILL
-    return "".join((full if len(run) == step else fmt * (len(run) // width)) % tuple(run)
-                   for run in (items[lo:lo + step] for lo in range(0, len(items), step)))
+    return ((full if len(run) == step else fmt * (len(run) // width)) % tuple(run)
+            for run in (items[lo:lo + step] for lo in range(0, len(items), step)))
+
+
+def _text_runs(g: Multigraph, f):
+    """The canonical problem-file text for (g, f) as a stream of strings, so
+    a writer can write each run as it is formatted (cactusrank gen)."""
+    if len(f) != g.n:
+        raise GraphError("divisor length mismatch")
+    yield f"n {g.n}\n"
+    yield from _filled("e %d %d\n", 2, g._ends)
+    yield "d"
+    yield from _filled(" %d", 1, f)
+    yield "\n"
 
 
 def serialize(g: Multigraph, f) -> str:
     """Canonical problem-file text for (g, f)."""
-    if len(f) != g.n:
-        raise GraphError("divisor length mismatch")
-    return "".join((f"n {g.n}\n", _filled("e %d %d\n", 2, g._ends),
-                    "d", _filled(" %d", 1, f), "\n"))
+    return "".join(_text_runs(g, f))

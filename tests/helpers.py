@@ -4,6 +4,7 @@ definition."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import random
@@ -217,6 +218,25 @@ def rank_witness(g: cr.Multigraph, f, res: cr.RankResult) -> list[int]:
         if s.branch == "charged":
             e[blocks[s.index].block.vertices[1]] += 1
     return e
+
+
+def trace_digest(seed: int, count: int) -> str:
+    """sha256 over repr(rank(g, f, trace=True)) for count seeded random cacti,
+    each at degrees -1, 0, 1, g - 1, 2g - 3, 2g - 2 and 2g - 1 (g the genus)
+    with chips in [-2, 3] moved one at a time to the degree.  Pins every
+    trace record, not just the rank, the way the generator's digests pin
+    its output."""
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(count):
+        g = random_cactus(rng, max_n=100, max_genus=30, max_cycle_len=6)
+        gn = cr.genus(g)
+        for target in (-1, 0, 1, gn - 1, 2 * gn - 3, 2 * gn - 2, 2 * gn - 1):
+            f = [rng.randint(-2, 3) for _ in range(g.n)]
+            while sum(f) != target:
+                f[rng.randrange(g.n)] += 1 if sum(f) < target else -1
+            h.update(repr(cr.rank(g, f, trace=True)).encode("ascii"))
+    return h.hexdigest()
 
 
 # the environment of a child interpreter that imports cactusrank from this

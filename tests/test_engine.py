@@ -6,7 +6,7 @@ import pytest
 
 import cactusrank as cr
 from cactusrank.blocks import _scan
-from cactusrank.engine import _funnel
+from cactusrank.engine import _UNREACHABLE, _funnel, _product, _split
 
 from .helpers import (
     bowtie,
@@ -17,6 +17,7 @@ from .helpers import (
     random_divisor,
     rank_witness,
     stacked_triangles,
+    trace_digest,
 )
 
 
@@ -231,6 +232,15 @@ def test_trace_structure():
         hits += 1
 
 
+def test_trace_digest_pinned():
+    # every record of 4,200 traced ranks (600 random cacti up to 100
+    # vertices and genus 30, seven degrees each), pinned before the path
+    # DP's list algebra moved behind _product, _split and _CLOSE; a change
+    # to how the DP breaks ties shows here even when every rank holds
+    assert trace_digest(71, 600) == (
+        "58ef1cdb2ad89c0a40ea9a16fa3b838692088a51df11ae07cc4ac034d172303c")
+
+
 def test_rank_witness_from_trace():
     # the traced path names an effective E of degree rank + 1 such that
     # f - E is not L-effective (the oracle's burning test, not the
@@ -390,6 +400,63 @@ def test_funnel_reads_k_minus_f_without_building_it():
         assert mirrored == list(_funnel(_scan(g), k - f, 1)), (g.edges, tuple(f))
         verdicts.add(any(res for *_, res in mirrored))
     assert verdicts == {False, True}
+
+
+def _random_states(rng, k, size):
+    # residue states with -inf holes, as a cycle's per-residue lists hold
+    states = {}
+    for r in rng.sample(range(k), rng.randint(1, k)):
+        states[r] = [rng.choice((_UNREACHABLE, rng.randint(0, 12)))
+                     for _ in range(rng.randint(1, size))]
+    return states
+
+
+def test_product_and_split_are_inverse():
+    # every finite entry of _product is the (max,+) of its operands, as a
+    # plain loop over every pair computes it, and _split takes it apart into
+    # q's entry with the fewest charges that rebuilds it
+    rng = random.Random(1901)
+    for _ in range(400):
+        k = rng.randint(1, 8)
+        j = rng.randrange(k)
+        size = rng.randint(1, 9)
+        states = _random_states(rng, k, size)
+        q = [rng.randint(0, 12) for _ in range(rng.randint(1, size))]
+        want: dict = {}
+        for r, xs in states.items():
+            for c1, x in enumerate(xs):
+                for c2, lost in enumerate(q):
+                    if c1 + c2 < size and x != _UNREACHABLE:
+                        row = want.setdefault((r - j * lost) % k, {})
+                        row[c1 + c2] = max(row.get(c1 + c2, _UNREACHABLE), x + lost)
+        out = _product(states, q, j, k, size)
+        finite = {r: {c: v for c, v in enumerate(xs) if v != _UNREACHABLE}
+                  for r, xs in out.items()}
+        assert {r: row for r, row in finite.items() if row} == want
+        for res, row in finite.items():
+            for c, lost in row.items():
+                c2, x = _split(states, q, j, k, res, c, lost)
+                assert x == q[c2]
+                fits = [i for i, y in enumerate(q)
+                        if 0 <= c - i < len(states.get((res + j * y) % k, ()))
+                        and states[(res + j * y) % k][c - i] + y == lost]
+                assert c2 == fits[0]
+
+
+def test_ring_of_one_is_the_vertex_merge():
+    # k = 1 is the plain (max,+) merge of two lists without holes, capped
+    # at size entries
+    rng = random.Random(1902)
+    for _ in range(300):
+        size = rng.randint(1, 12)
+        a = [rng.randint(0, 20) for _ in range(rng.randint(1, size))]
+        b = [rng.randint(0, 20) for _ in range(rng.randint(1, size))]
+        want = [_UNREACHABLE] * min(len(a) + len(b) - 1, size)
+        for i, x in enumerate(a):
+            for t, y in enumerate(b):
+                if i + t < size:
+                    want[i + t] = max(want[i + t], x + y)
+        assert _product({0: a}, b, 0, 1, size) == {0: want}
 
 
 class _CountedReads(list):
