@@ -30,12 +30,17 @@ class Goodness(enum.Enum):
     BAD = "bad"
 
 
-def cycle_goodness(f: Sequence[int]) -> Goodness:
-    """Classify a degree-0 divisor on a cycle, entries in cycle order with
-    the attachment last."""
+def _cycle_length(f: Sequence[int]) -> int:
     k = len(f)
     if k < 2:
         raise GraphError("cycle length must be at least 2")
+    return k
+
+
+def cycle_goodness(f: Sequence[int]) -> Goodness:
+    """Classify a degree-0 divisor on a cycle, entries in cycle order with
+    the attachment last."""
+    k = _cycle_length(f)
     if sum(f) != 0:
         raise GraphError("goodness is defined only for degree-0 divisors")
     acc = 0
@@ -47,6 +52,7 @@ def cycle_goodness(f: Sequence[int]) -> Goodness:
 def cycle_rank(f: Sequence[int]) -> int:
     """Rank of any divisor on a cycle: -1 below degree 0, good/bad at 0,
     degree-1 above."""
+    _cycle_length(f)
     d = sum(f)
     if d <= -1:
         return -1

@@ -18,10 +18,9 @@ from .graph import GraphError, NotCactusError, OracleLimitError
 from .problemfile import ParseError, _text_runs, parse_file
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args, g, f) -> int:
     from .engine import rank
 
-    g, f = parse_file(args.file, check_connected=False)
     res = rank(g, f, trace=args.trace)
     if args.trace:
         for s in res.trace:
@@ -38,47 +37,42 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, g, f) -> int:
     from .oracle import oracle_rank
 
-    g, f = parse_file(args.file, check_connected=False)
     print(oracle_rank(g, f, max_vertices=args.max_n, max_rank=args.max_r))
     return 0
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args, g, f) -> int:
     from .oracle import q_reduce
 
-    g, f = parse_file(args.file, check_connected=False)
     red = q_reduce(g, f, args.base)
     print("d " + " ".join(map(str, red.values)))
     return 0
 
 
-def _cmd_rrcheck(args) -> int:
+def _cmd_rrcheck(args, g, f) -> int:
     from .blocks import is_cactus
     from .engine import rank
     from .oracle import oracle_rank, rr_check
 
-    g, f = parse_file(args.file, check_connected=False)
     fn = (lambda gg, ff: rank(gg, ff).rank) if is_cactus(g) else oracle_rank
     ok = rr_check(g, f, fn)
     print("OK" if ok else "FAIL")
     return 0 if ok else 1
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, g, f) -> int:
     from .blocks import is_cactus
 
-    g, _ = parse_file(args.file, check_connected=False)
     print("cactus" if is_cactus(g) else "not-cactus")
     return 0
 
 
-def _cmd_bes(args) -> int:
+def _cmd_bes(args, g, f) -> int:
     from .blocks import build_bes
 
-    g, _ = parse_file(args.file, check_connected=False)
     scheme = build_bes(g)
     for i, step in enumerate(scheme.steps, 1):
         vs = " ".join(map(str, step.block.vertices))
@@ -155,7 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if "file" not in args:
+            return args.func(args)
+        return args.func(args, *parse_file(args.file, check_connected=False))
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

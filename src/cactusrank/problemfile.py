@@ -11,17 +11,17 @@ syntax problems (ParseError, with a line number) from structurally invalid
 graphs (GraphError: loops, out-of-range ids, wrong divisor length,
 disconnected input).  Line numbers count every break str.splitlines() knows.
 
-Input in exactly the canonical shape is parsed on a fast path that leaves
-the per-number work to C; anything else (comments, other spacing, CRLF line
-ends, bad values) falls back to a line-by-line pass that produces precise
-errors.  Both give the same result.  Problem files are ASCII: any other byte,
-of a file or of str input's UTF-8, is a ParseError before any other error.
-
-Both passes read the file a run of about 64 KB at a time, so a file's bytes
-are never held at once; the fallback seeks back to where the fast path
-began and parses the lines.  On an error it checks the file with isascii(),
-so that a non-ASCII byte on a later line is the error reported; only when
-there is one are the lines read again, up to that byte, to number its line.
+The file is read in one pass, a run of about 64 KB of whole lines at a
+time, so its bytes are never held at once.  In each run, the stretch of edge
+lines that has exactly the canonical shape goes by a C route: its numbers are
+read by the JSON decoder and range- and loop-checked as one list.  A stretch
+that fails a check, and every other line (comments, other spacing, CRLF line
+ends, bad values), is read line by line, which raises the precise error.
+Both give the same result.  Problem files are ASCII: any other byte, of a
+file or of str input's UTF-8, is a ParseError before any other error.  On an
+error the rest of the file is checked with isascii(), so that a non-ASCII
+byte on a later line is the error reported; only when there is one are the
+lines read again, up to that byte, to number its line.
 """
 
 from __future__ import annotations
@@ -45,34 +45,25 @@ class ParseError(ValueError):
 
 
 # a file is read this many bytes at a time, each read cut just after its last
-# separator, so no list or bytes object holds more than about one run's worth
+# "\n", so no list or bytes object holds more than about one run's worth
 _CHUNK = 1 << 16
 
 
-class _Runs:
-    """A binary file read a run at a time.  Called with a separator, returns
-    the next run: the bytes up to just after the last sep in the next read of
-    _CHUNK bytes, with whatever the reads before it left over in front.  At
-    the end of the file it returns what is left, then b"".  rest holds the
-    bytes read but not yet returned; a caller may put bytes back in front."""
-
-    def __init__(self, fh):
-        self.read = fh.read
-        self.rest = b""
-
-    def __call__(self, sep: bytes) -> bytes:
-        parts = [self.rest]
-        while True:
-            more = self.read(_CHUNK)
-            if not more:
-                self.rest = b""
-                return b"".join(parts)
-            cut = more.rfind(sep) + 1
-            if cut:
-                self.rest = more[cut:]
-                parts.append(more[:cut])
-                return b"".join(parts)
+def _runs(fh):
+    r"""The binary file fh a run at a time: each run is the bytes up to just
+    after the last "\n" in the next read of _CHUNK bytes, with whatever the
+    reads before it left over in front, and the last run is what is left."""
+    parts = []
+    while more := fh.read(_CHUNK):
+        cut = more.rfind(b"\n") + 1
+        if cut:
+            parts.append(more[:cut])
+            run, parts = b"".join(parts), [more[cut:]]
+            yield run
+        else:
             parts.append(more)
+    if run := b"".join(parts):
+        yield run
 
 
 def _spans(text: str, lo: int, sep: str):
@@ -85,112 +76,34 @@ def _spans(text: str, lo: int, sep: str):
         lo = hi
 
 
+def _text(run: bytes, done: int) -> str:
+    """run decoded, done lines after the file's start.  A byte that is not
+    ASCII is a ParseError on the line splitlines() would put it."""
+    try:
+        return run.decode("ascii")
+    except UnicodeDecodeError as e:
+        # the text before the byte, with a character added, ends on its line
+        line = done + len((run[:e.start] + b".").decode("ascii").splitlines())
+        raise ParseError(f"non-ASCII byte 0x{run[e.start]:02x}", line) from None
+
+
 def _lines(fh):
     r"""The lines of the file fh, as its decoded text's splitlines() gives
     them, decoded and split a run at a time: "\n" ends every line break it
-    is part of, so a run that ends just after one ends a line.  A byte that
-    is not ASCII is a ParseError on the line splitlines() would put it."""
-    runs = _Runs(fh)
+    is part of, so a run that ends just after one ends a line."""
     done = 0
-    while run := runs(b"\n"):
-        try:
-            lines = run.decode("ascii").splitlines()
-        except UnicodeDecodeError as e:
-            # the text before the byte, with a character added, ends on its line
-            line = done + len((run[:e.start] + b".").decode("ascii").splitlines())
-            raise ParseError(f"non-ASCII byte 0x{run[e.start]:02x}", line) from None
+    for run in _runs(fh):
+        lines = _text(run, done).splitlines()
         done += len(lines)
         yield from lines
 
 
-def _parse_lines(fh):
-    start = fh.tell()
-    n = None
-    ends = array("i")
-    add_end = ends.append
-    divisor = None
-    lineno = 0
-    lines = _lines(fh)
-    try:
-        for lineno, raw in enumerate(lines, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            # enough parts to check an n or an e line; the divisor line is split
-            # below, a run at a time
-            parts = line.split(None, 3)
-            tag = parts[0]
-            if tag == "n":
-                if n is not None:
-                    raise ParseError("duplicate n header", lineno)
-                if len(parts) != 2:
-                    raise ParseError("n header takes one value", lineno)
-                try:
-                    n = int(parts[1])
-                except ValueError:
-                    raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
-                if n < 1:
-                    raise ParseError("vertex count must be at least 1", lineno)
-                if n > _MAX_VERTICES:
-                    raise ParseError(f"vertex count above {_MAX_VERTICES}", lineno)
-            elif tag == "e":
-                if n is None:
-                    raise ParseError("edge before n header", lineno)
-                if divisor is not None:
-                    raise ParseError("edge after divisor line", lineno)
-                if len(parts) != 3:
-                    raise ParseError("edge line takes two endpoints", lineno)
-                try:
-                    u, v = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise ParseError("edge endpoints must be integers", lineno) from None
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
-                if u == v:
-                    raise GraphError(f"line {lineno}: loop edge ({u}, {u}) not allowed")
-                add_end(u)
-                add_end(v)
-            elif tag == "d":
-                if n is None:
-                    raise ParseError("divisor before n header", lineno)
-                if divisor is not None:
-                    raise ParseError("duplicate divisor line", lineno)
-                # split a run at a time; a space never falls inside an entry
-                try:
-                    divisor = Divisor(map(int, chain.from_iterable(
-                        line[lo:hi].split() for lo, hi in _spans(line, 1, " "))))
-                except ValueError:
-                    raise ParseError("divisor entries must be integers", lineno) from None
-                if len(divisor) != n:
-                    raise GraphError(
-                        f"line {lineno}: divisor has {len(divisor)} entries, expected {n}"
-                    )
-            else:
-                raise ParseError(f"unknown directive {tag!r}", lineno)
-    except (ParseError, GraphError):
-        # a non-ASCII byte is reported before an error on an earlier line.
-        # isascii() looks for one; only if there is one does _lines read the
-        # file again, from the start, to raise on that byte's line
-        fh.seek(start)
-        while run := fh.read(_CHUNK):
-            if not run.isascii():
-                fh.seek(start)
-                for _ in _lines(fh):
-                    pass
-        raise
-    if n is None:
-        raise ParseError("missing n header", lineno or None)
-    if divisor is None:
-        raise ParseError("missing divisor line", lineno or None)
-    return n, ends, divisor
-
-
 _DIGITS = b"0123456789"
 _CHIPS = b"-0123456789 "
-# translated and put between "[" and "]", the numbers of a run of canonical
-# edge lines after its first "e ", or of a run of the divisor line without
-# its last space, are one JSON list: "u v\ne x y\n" reads "[u,v  ,x,y ]"
-# and "x y" reads "[x,y]", one comma per space of the text
+# translated and put between "[" and "]", the numbers of canonical edge lines
+# after their first "e ", or of a divisor span stripped of its outer spaces,
+# are one JSON list: "u v\ne x y\n" reads "[u,v  ,x,y ]" and "x y" reads
+# "[x,y]", one comma per space of the text
 _ITEMS = bytes.maketrans(b" \ne", b",  ")
 
 
@@ -198,92 +111,143 @@ def _items(run: bytes) -> list:
     return json.loads("".join(("[", run.translate(_ITEMS).decode("ascii"), "]")))
 
 
-def _parse_canonical(fh):
-    r"""(n, ends, divisor) for a file in exactly the shape serialize() writes,
-    None for anything else.
+def _edge_run(run: bytes):
+    r"""(a, b, items), where run[a:b] is the stretch from the first line that
+    starts with "e " to the first "d" after it and items are its numbers, if
+    it is exactly canonical edge lines: with the digits deleted it reads
+    "e  \n" * k, every "e" starting its line, and the C JSON decoder reads
+    every number.  Otherwise (0, 0, None)."""
+    a = 0 if run[:2] == b"e " else run.find(b"\ne ") + 1
+    b = run.find(b"d", a)
+    if b < 0:
+        b = len(run)
+    edges = run[a:b]
+    k = edges.count(b"\n")
+    if (edges[:2] == b"e " and edges[-1:] == b"\n" and edges.count(b"\ne ") == k - 1
+            and edges.translate(None, _DIGITS) == b"e  \n" * k):
+        try:
+            return a, b, _items(edges[2:])
+        except ValueError:  # an empty or malformed number
+            pass
+    return 0, 0, None
 
-    The file is read a run at a time: the header line, then the edge lines
-    in runs that end just after a "\n", then the divisor line in runs that
-    end just after a space.  With the digits deleted, each edge run must read
-    "e  \n" * k, every "e" starting its line; with the digits, minus signs
-    and spaces deleted, a divisor run must be empty but for the final "\n",
-    which ends the file.  The C JSON decoder reads each run's numbers and
-    rejects an empty or malformed one.  Each edge run's endpoints are range-
-    and loop-checked and go straight into one array, and the divisor's
-    entries straight into the Divisor, so no per-edge Python object outlives
-    its run and the file's bytes are never held at once.
-    """
-    runs = _Runs(fh)
-    run = runs(b"\n")
-    hdr = run.find(b"\n")
-    if hdr < 0 or run[:2] != b"n " or not run[2:hdr].isdigit():
-        return None
-    n = int(run[2:hdr])
-    if not 1 <= n <= _MAX_VERTICES:
-        return None
-    run = run[hdr + 1:]
-    ends = array("i")
+
+def _entries(span: str) -> list:
+    # the integers of a span of the divisor line: by the C JSON decoder if it
+    # holds only digits, "-" and single spaces, else by int()
+    chips = span.strip(" ").encode()
+    if not chips.translate(None, _CHIPS):
+        try:
+            return _items(chips)
+        except ValueError:
+            pass
+    return list(map(int, span.split()))
+
+
+def _divisor(line: str, lineno: int, n: int) -> Divisor:
+    # split a run at a time; a space never falls inside an entry
     try:
-        while True:
-            d = run.find(b"d")
-            if d >= 0:  # the divisor line starts here: put it back
-                runs.rest = run[d:] + runs.rest
-                run = run[:d]
-            if run:
-                k = run.count(b"\n")
-                if (run[:2] != b"e " or run[-1:] != b"\n" or run.count(b"\ne ") != k - 1
-                        or run.translate(None, _DIGITS) != b"e  \n" * k):
-                    return None  # a "-" too: the line parser reports it
-                items = _items(run[2:])
-                if max(items) >= n or any(map(eq, islice(items, 0, None, 2),
-                                              islice(items, 1, None, 2))):
-                    return None  # likewise, with its line number
-                ends.fromlist(items)
-            if d >= 0:
-                break
-            run = runs(b"\n")
-            if not run:
-                return None
-        divisor = Divisor(chain.from_iterable(_chips(runs)))
-    except ValueError:  # an empty or malformed number, or a bad divisor run
-        return None
+        divisor = Divisor(chain.from_iterable(
+            _entries(line[lo:hi]) for lo, hi in _spans(line, 1, " ")))
+    except ValueError:
+        raise ParseError("divisor entries must be integers", lineno) from None
     if len(divisor) != n:
-        return None
-    return n, ends, divisor
-
-
-def _chips(runs: _Runs):
-    # the divisor line's entries, a list per run; ValueError unless the line
-    # is "d", then entries each after one space, then the "\n" ending the file
-    run = runs(b" ")
-    if run[:2] != b"d ":
-        raise ValueError
-    run = run[2:] or runs(b" ")
-    while True:
-        last = run[-1:] != b" "  # only the file's end stops a run elsewhere
-        if last and run[-1:] != b"\n":
-            raise ValueError
-        body = run[:-1]
-        if not body or body.translate(None, _CHIPS):
-            raise ValueError
-        yield _items(body)
-        if last:
-            return
-        run = runs(b" ")
+        raise GraphError(f"line {lineno}: divisor has {len(divisor)} entries, expected {n}")
+    return divisor
 
 
 def _parse(fh, check_connected: bool):
     # fh: a seekable binary file, read from its current position
     start = fh.tell()
-    parsed = _parse_canonical(fh)
-    if parsed is None:
-        fh.seek(start)
-        parsed = _parse_lines(fh)
-    n, ends, divisor = parsed
+    runs = _runs(fh)
+    n = divisor = None
+    ends = array("i")
+    add_end = ends.append
+    lineno = 0
+    for run in runs:
+        if not run.isascii():
+            _text(run, lineno)  # raises on the byte's line
+        a, b, edges = _edge_run(run)
+        try:
+            # the lines before run[a:b], run[a:b] itself on the C route if it
+            # passes the checks below, else line by line, then the rest
+            for lo, hi, items in ((0, a, None), (a, b, edges), (b, None, None)):
+                if (items and n is not None and divisor is None and max(items) < n
+                        and not any(map(eq, islice(items, 0, None, 2),
+                                        islice(items, 1, None, 2)))):
+                    ends.fromlist(items)
+                    lineno += len(items) >> 1
+                    continue
+                for raw in _text(run[lo:hi], lineno).splitlines():
+                    lineno += 1
+                    line = raw.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    # enough parts to check an n or an e line
+                    parts = line.split(None, 3)
+                    tag = parts[0]
+                    if tag == "n":
+                        if n is not None:
+                            raise ParseError("duplicate n header", lineno)
+                        if len(parts) != 2:
+                            raise ParseError("n header takes one value", lineno)
+                        try:
+                            n = int(parts[1])
+                        except ValueError:
+                            raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
+                        if n < 1:
+                            raise ParseError("vertex count must be at least 1", lineno)
+                        if n > _MAX_VERTICES:
+                            raise ParseError(f"vertex count above {_MAX_VERTICES}", lineno)
+                    elif tag == "e":
+                        if n is None:
+                            raise ParseError("edge before n header", lineno)
+                        if divisor is not None:
+                            raise ParseError("edge after divisor line", lineno)
+                        if len(parts) != 3:
+                            raise ParseError("edge line takes two endpoints", lineno)
+                        try:
+                            u, v = int(parts[1]), int(parts[2])
+                        except ValueError:
+                            raise ParseError("edge endpoints must be integers", lineno) from None
+                        if not (0 <= u < n and 0 <= v < n):
+                            raise GraphError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
+                        if u == v:
+                            raise GraphError(f"line {lineno}: loop edge ({u}, {u}) not allowed")
+                        add_end(u)
+                        add_end(v)
+                    elif tag == "d":
+                        if n is None:
+                            raise ParseError("divisor before n header", lineno)
+                        if divisor is not None:
+                            raise ParseError("duplicate divisor line", lineno)
+                        # read once the loop is done and the run's bytes and
+                        # this split are dropped, which lowers the peak
+                        divisor, parts = (line, lineno), None
+                    else:
+                        raise ParseError(f"unknown directive {tag!r}", lineno)
+        except (ParseError, GraphError):
+            # a non-ASCII byte on a later line is the error reported: the
+            # rest of the file is checked with isascii(), and only if a byte
+            # fails does _lines read it again, from the start, to raise on
+            # that byte's line.  An error on the d line comes next
+            if not all(map(bytes.isascii, runs)):
+                fh.seek(start)
+                for _ in _lines(fh):
+                    pass
+            if divisor is not None:
+                _divisor(*divisor, n)
+            raise
+    if n is None:
+        raise ParseError("missing n header", lineno or None)
+    if divisor is None:
+        raise ParseError("missing divisor line", lineno or None)
+    del run, edges  # the last run and its numbers, before the divisor is built
+    f = _divisor(*divisor, n)
     g = Multigraph._from_ends(n, ends)
     if check_connected and not g.is_connected():
         raise DisconnectedGraphError("graph in file is disconnected")
-    return g, divisor
+    return g, f
 
 
 def parse_string(text: str, *, check_connected: bool = True):

@@ -43,6 +43,13 @@ def test_goodness_argument_errors():
         cr.cycle_goodness([1, 0, 0])
 
 
+def test_cycle_rank_rejects_short_cycles():
+    # a cycle has at least two vertices, whatever the divisor's degree
+    for f in ([], [0], [5], [-3]):
+        with pytest.raises(cr.GraphError, match="cycle length must be at least 2"):
+            cr.cycle_rank(f)
+
+
 def test_goodness_matches_oracle_exhaustively():
     # every degree-0 divisor with entries in [-2, 2] on C_2..C_5
     for k in range(2, 6):

@@ -133,9 +133,31 @@ def test_connectivity_check_is_optional():
 def _parse_outcome(text):
     try:
         g, f = cr.parse_string(text)
-    except Exception as e:  # the exception class is part of the outcome
-        return type(e)
+    except Exception as e:  # the exception class and message are the outcome
+        return type(e), str(e)
     return g.n, g.edges, tuple(f)
+
+
+def _per_line(text):
+    # CRLF line ends, and tabs for spaces, keep every line number but leave
+    # no stretch of canonical edge lines, so every line is read line by line;
+    # with tabs, the divisor's entries are also read by int()
+    return text.replace("\n", "\r\n"), text.replace(" ", "\t")
+
+
+def _c_route(monkeypatch):
+    """A list that gets the length of every list _items returns: the numbers
+    read on the C route, edge endpoints and divisor entries alike."""
+    real = cactusrank.problemfile._items
+    read = []
+
+    def counted(run):
+        items = real(run)
+        read.append(len(items))
+        return items
+
+    monkeypatch.setattr(cactusrank.problemfile, "_items", counted)
+    return read
 
 
 # (text, whether it has the canonical shape serialize() writes)
@@ -175,29 +197,52 @@ def _single_edits(text):
                 yield "".join(rest[:j] + [atom] + rest[j:])
 
 
-def test_fast_and_slow_paths_agree():
+def test_fast_and_slow_paths_agree(monkeypatch):
+    # a text has the outcome, value or exception and message, of its
+    # line-by-line variants
+    read = _c_route(monkeypatch)
     for text, canonical in AGREE_CASES:
-        # a leading comment forces the line-by-line parser
-        assert _parse_outcome(text) == _parse_outcome("# forced slow path\n" + text), text
-        # the fast path takes exactly the canonical shape and leaves the
-        # rest, errors included, to the line parser
-        fast = cactusrank.problemfile._parse_canonical(io.BytesIO(text.encode("ascii")))
-        assert (fast is not None) == canonical, text
+        read.clear()
+        outcome = _parse_outcome(text)
+        # the C route reads every number of exactly the canonical shape
+        # and leaves the rest, errors included, to the line-by-line reading
+        if canonical:
+            n, edges, _ = outcome
+            assert sum(read) == 2 * len(edges) + n, text
+        crlf, tabs = _per_line(text)
+        assert _parse_outcome(crlf) == outcome, crlf
+        read.clear()
+        assert _parse_outcome(tabs) == outcome, tabs
+        assert not read, tabs
     for base in (CANON, "n 2\ne 0 1\ne 0 1\nd 1 -1\n", "n 1\nd 5\n"):
         for text in set(_single_edits(base)):
-            assert _parse_outcome(text) == _parse_outcome("# forced slow path\n" + text), text
+            outcome = _parse_outcome(text)
+            for variant in _per_line(text):
+                assert _parse_outcome(variant) == outcome, variant
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_fast_path_chunk_boundaries(monkeypatch, chunk):
-    # the file is read _CHUNK bytes at a time and each read is cut after its
-    # last separator: a "\n" for the edge lines and for the line parser, a
-    # space for the divisor line, whose runs the line parser splits at
-    # spaces too.  1 makes every line and every chip a run of its own; 7
-    # cuts most reads inside a line or a chip, so that most runs start with
-    # what the read before left over, and "-12 345 " is one divisor run
+    # the file is read _CHUNK bytes at a time, each read cut just after its
+    # last "\n", and the divisor line is split into spans of at least _CHUNK
+    # characters that end just after a space.  1 makes every line a run and
+    # every chip a span of its own; 7 cuts most reads inside a line, so that
+    # most runs start with what the read before left over, and "-12 345 " is
+    # one span
     monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
-    test_fast_and_slow_paths_agree()
+    test_fast_and_slow_paths_agree(monkeypatch)
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+def test_c_route_is_taken_per_run(monkeypatch, chunk):
+    # a comment on the first line leaves every run of canonical edge lines,
+    # and every span of the divisor line, on the C route
+    if chunk:
+        monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
+    g, f = cr.generate(cr.GeneratorParams(4096, 512, 8, 1022, 7))
+    read = _c_route(monkeypatch)
+    assert cr.parse_string("# c\n" + cr.serialize(g, f)) == (g, f)
+    assert sum(read) == 2 * g.num_edges + g.n == 13310
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -214,42 +259,51 @@ def test_line_runs_split_as_splitlines(monkeypatch, chunk):
         assert list(lines) == text.splitlines(), repr(text)
 
 
-def test_fast_path_defers_errors_in_its_last_run():
+def test_fast_path_defers_errors_in_its_last_run(monkeypatch):
     # a path long enough for several runs of the real _CHUNK
     n = 40000
     lines = [f"e {i} {i + 1}\n" for i in range(n - 1)]
     text = "".join([f"n {n}\n", *lines, "d " + " ".join(["0"] * n) + "\n"])
     assert len(text) > 2 * cactusrank.problemfile._CHUNK
-    assert cactusrank.problemfile._parse_canonical(io.BytesIO(text.encode("ascii"))) is not None
+    read = _c_route(monkeypatch)
+    cr.parse_string(text)
+    assert sum(read) == 2 * (n - 1) + n
     for bad, message in ((f"e {n - 2} {n - 2}\n", f"loop edge ({n - 2}, {n - 2})"),
                          (f"e {n - 2} {n}\n", f"edge ({n - 2}, {n}) out of range")):
         broken = text.replace(lines[-1], bad)
-        assert cactusrank.problemfile._parse_canonical(io.BytesIO(broken.encode("ascii"))) is None
+        read.clear()
         with pytest.raises(cr.GraphError) as exc:
             cr.parse_string(broken)
-        with pytest.raises(cr.GraphError) as slow:
-            cactusrank.problemfile._parse_lines(io.BytesIO(broken.encode("ascii")))
+        # the last run went by the C route's checks, which left its error to
+        # the line-by-line reading of that run
+        assert sum(read) == 2 * (n - 1)
+        for variant in _per_line(broken):
+            with pytest.raises(cr.GraphError) as slow:
+                cr.parse_string(variant)
+            assert str(exc.value) == str(slow.value)
         # the last edge line is line n of the file
-        assert str(exc.value) == str(slow.value)
         assert str(exc.value).startswith(f"line {n}: {message}"), exc.value
 
 
-def test_fast_path_defers_divisor_errors_in_its_last_run():
-    # chips of 15 bytes each make the divisor line span several runs
+def test_fast_path_defers_divisor_errors_in_its_last_run(monkeypatch):
+    # chips of 15 bytes each make the divisor line span several spans
     n = 40000
     lines = [f"e {i} {i + 1}\n" for i in range(n - 1)]
     chips = [str(-10 ** 13 - i) for i in range(n)]
     head = "".join([f"n {n}\n", *lines, "d "])
     text = head + " ".join(chips) + "\n"
     assert len(text) - len(head) > 2 * cactusrank.problemfile._CHUNK
+    read = _c_route(monkeypatch)
     _, f = cr.parse_string(text)
     assert tuple(f) == tuple(map(int, chips))
-    assert cactusrank.problemfile._parse_canonical(io.BytesIO(text.encode("ascii"))) is not None
+    assert sum(read) == 2 * (n - 1) + n
     for bad in ("-1-2", "-"):
         broken = head + " ".join(chips[:-1] + [bad]) + "\n"
-        assert cactusrank.problemfile._parse_canonical(io.BytesIO(broken.encode("ascii"))) is None
+        read.clear()
         with pytest.raises(cr.ParseError) as exc:
             cr.parse_string(broken)
+        # every span but the last went by the C route
+        assert 2 * (n - 1) < sum(read) < 2 * (n - 1) + n - 1
         # the divisor line follows the header and n - 1 edge lines
         assert exc.value.line == n + 1
         assert str(exc.value) == f"line {n + 1}: divisor entries must be integers"
@@ -280,34 +334,61 @@ def test_non_ascii_byte_reported_before_an_earlier_syntax_error(tmp_path, monkey
                 assert str(exc.value) == "line 4: non-ASCII byte 0xe9", (chunk, second)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_errors_after_the_divisor_line(monkeypatch, chunk):
+    # the divisor line is read once the file is, but an error on it is still
+    # reported before one on a later line, and a non-ASCII byte before both
+    if chunk:
+        monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
+    for text, message in (
+            ("n 2\ne 0 1\nd 0 x\ne 0 1\n", "line 3: divisor entries must be integers"),
+            ("n 2\ne 0 1\nd 0 0 0\nq\n", "line 3: divisor has 3 entries, expected 2"),
+            ("n 2\ne 0 1\nd 0 0\nd 0 0\n", "line 4: duplicate divisor line"),
+            ("n 2\ne 0 1\nd 0 x\n# \xe9\n", "line 4: non-ASCII byte 0xc3")):
+        for variant in (text, *_per_line(text)):
+            assert _parse_outcome(variant)[1] == message, variant
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_non_ascii_byte_after_edges_on_the_c_route(monkeypatch, chunk):
+    # an error before a stretch of canonical edge lines, and a non-ASCII
+    # byte after it, in one run at the real _CHUNK
+    if chunk:
+        monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
+    data = b"n 3\nq 0 1\ne 0 1\ne 1 2\nd 0 0 \xe9\n"
+    with pytest.raises(cr.ParseError) as exc:
+        cr.parse_file(io.BytesIO(data))
+    assert str(exc.value) == "line 5: non-ASCII byte 0xe9"
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_clean_runs_after_an_error_are_not_decoded(monkeypatch, chunk):
     # after an error the rest of the file is only checked with isascii():
-    # _lines gives out no line past the one in error.  At _CHUNK 1 and 7 a
-    # run holds a line or two, so the lines given out are the runs decoded
+    # no text past the line in error is decoded.  At _CHUNK 1 and 7 a run
+    # holds a line or two, so the text decoded is the runs read
     monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
-    real = cactusrank.problemfile._lines
+    real = cactusrank.problemfile._text
     given = []
 
-    def counted(fh):
-        for line in real(fh):
-            given.append(line)
-            yield line
+    def counted(run, done):
+        text = real(run, done)
+        given.append(text)
+        return text
 
-    monkeypatch.setattr(cactusrank.problemfile, "_lines", counted)
+    monkeypatch.setattr(cactusrank.problemfile, "_text", counted)
     n = 2000
     text = "".join([f"n {n}\nq 0 1\n", *(f"e {i} {i + 1}\n" for i in range(n - 1)),
                     "d " + " ".join(["0"] * n) + "\n"])
     with pytest.raises(cr.ParseError) as exc:
         cr.parse_string(text)
     assert str(exc.value) == "line 2: unknown directive 'q'"
-    assert given == [f"n {n}", "q 0 1"]
+    assert "".join(given).splitlines() == [f"n {n}", "q 0 1"]
 
 
 @pytest.mark.parametrize("chunk, n", [(1, 30), (7, 30), (None, 40000)])
 def test_error_in_the_last_edge_run(monkeypatch, chunk, n):
-    # canonical but for the last edge line: the line parser's error, with
-    # its line number, whatever the run size
+    # canonical but for the last edge line: the line-by-line reading's
+    # error, with its line number, whatever the run size
     if chunk:
         monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
     lines = [f"e {i} {i + 1}\n" for i in range(n - 1)]
@@ -330,12 +411,13 @@ def test_canonical_but_for_the_final_newline(monkeypatch, chunk):
         monkeypatch.setattr(cactusrank.problemfile, "_CHUNK", chunk)
     for text in (CANON, "n 2\ne 0 1\ne 0 1\nd 1 -1\n", "n 1\nd 5\n"):
         assert _parse_outcome(text[:-1]) == _parse_outcome(text)
-        assert _parse_outcome(text + " ") == _parse_outcome("# slow\n" + text + " ")
+        for variant in _per_line(text + " "):
+            assert _parse_outcome(text + " ") == _parse_outcome(variant)
 
 
 def test_stream_read_from_its_position():
-    # a seekable binary stream is parsed from where it stands, also when the
-    # canonical read gives up and the line parser starts over
+    # a seekable binary stream is parsed from where it stands, whichever
+    # way its lines are read
     for text in (CANON, CANON.replace("\n", "\r\n"), "n 2\ne 0 1\nd 0 -\n"):
         stream = io.BytesIO(b"n 9\nd 1 2\n" + text.encode("ascii"))
         stream.seek(10)
