@@ -8,13 +8,14 @@ an order that is already a valid elimination scheme: each block is
 contracted into its attachment vertex only after everything hanging below
 it is gone.
 
-The scan works on the graph's linked half-edge arrays and yields each block
-as it finishes, as a kind and a tuple or list of vertices.  The public
-object API here builds its records from that stream; the rank engine folds
-each block in as it arrives, so no scheme is stored.  A graph that is not a
-cactus raises where the scan finds a second cycle through an edge, and a
-disconnected one once the scan is exhausted: a consumer must read the
-stream to its end.
+The scan, engine._scan, lives beside its main consumer, so that a rank
+call does not load this module.  It works on the graph's linked half-edge
+arrays and yields each block as it finishes, as a kind and a tuple or list
+of vertices.  The public object API here builds its records from that
+stream; the rank engine folds each block in as it arrives, so no scheme is
+stored.  A graph that is not a cactus raises where the scan finds a second
+cycle through an edge, and a disconnected one once the scan is exhausted: a
+consumer must read the stream to its end.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .graph import DisconnectedGraphError, Multigraph, NotCactusError
+from .engine import _scan
+from .graph import Multigraph, NotCactusError
 
 
 class BlockKind(enum.Enum):
@@ -64,88 +66,6 @@ class BlockDecomposition(NamedTuple):
     cut_vertices: frozenset[int]
     # block_of_edge[i] = index into blocks for edge id i (position in g.edges)
     block_of_edge: tuple[int, ...]
-
-
-def _scan(g: Multigraph):
-    """One iterative DFS from vertex 0 yielding (kind, vs) for each block in
-    elimination order: kind 0 and vs = (parent, child) for a bridge, kind 1
-    and vs the cycle's vertices in ring order for a cycle, the attachment
-    first.  Raises NotCactusError where an edge closes a second cycle, and
-    DisconnectedGraphError once the scan ends short of some vertex, so a
-    caller that stops early learns neither.
-
-    A visit pushes a marker (-1) and then every unvisited neighbor, the first
-    neighbor in edge order last, so vertices are visited in the order of the
-    recursive DFS; an entry for a vertex visited meanwhile is dropped when it
-    pops.  path holds the vertices being visited, root first above a -1
-    that stands for the root's parent: a vertex's parent is the top of path
-    when it is visited, and its marker pops it off path once its subtree is
-    done.  At a visit, every visited neighbor other
-    than one copy of the parent edge is an ancestor on path, and that back
-    edge closes a cycle with the stretch of path above it.  The cycle claims
-    the stretch's tree edges; an edge claimed twice lies on two cycles.
-    Tree edges left unclaimed are bridges.
-
-    Each block has a child: the bridge's lower end, or the cycle's vertex
-    after its attachment.  Everything hanging below a block lies in its
-    child's subtree, so yielding each block when its child's marker pops is
-    an elimination order.
-    """
-    n = g.n
-    head, nxt = g._half_edges()
-    ends = g._ends
-    seen = bytearray(n)
-    # 0: the parent edge is a bridge; 1: a cycle claims it; 2: also the
-    # cycle's child, whose cycle waits in cycles.  The root has no parent
-    # edge and yields nothing.
-    claimed = bytearray(n)
-    claimed[0] = 1
-    cycles: dict = {}
-    path = [-1]
-    enter, leave = path.append, path.pop
-    stack = [0]
-    push, pop = stack.append, stack.pop
-    while stack:
-        x = pop()
-        if x < 0:
-            x = leave()
-            c = claimed[x]
-            if not c:
-                yield 0, (path[-1], x)
-            elif c == 2:
-                yield 1, cycles.pop(x)
-            continue
-        if seen[x]:
-            continue
-        seen[x] = 1
-        px = path[-1]
-        enter(x)
-        push(-1)
-        skip_parent = True
-        h = head[x]
-        while h >= 0:
-            y = ends[h ^ 1]
-            h = nxt[h]
-            if not seen[y]:
-                push(y)
-            elif y == px and skip_parent:
-                skip_parent = False
-            else:
-                i = len(path) - 2
-                while path[i] != y:
-                    i -= 1
-                chain = path[i:]
-                for t in chain[1:]:
-                    if claimed[t]:
-                        raise NotCactusError((x, y))
-                    claimed[t] = 1
-                claimed[chain[1]] = 2
-                cycles[chain[1]] = chain
-    reached = n - seen.count(0)
-    if reached != n:
-        raise DisconnectedGraphError(
-            f"graph is disconnected ({reached} of {n} vertices reachable)"
-        )
 
 
 def is_cactus(g: Multigraph) -> bool:

@@ -1,10 +1,11 @@
+import os
 import subprocess
 import sys
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cactusrank as cr
-from cactusrank.cli import main
+from cactusrank.cli import _COMMANDS, main
 
 from .helpers import CHILD_ENV, run_fresh
 
@@ -180,9 +181,12 @@ def test_exit_code_oracle_guard(tmp_path, capsys):
     path = write(tmp_path, "big.txt", f"n 13\n{edges}d {' '.join(['0'] * 13)}\n")
     assert main(["oracle", path]) == 5
     assert "oracle guard" in capsys.readouterr().err
-    # raising the guard makes the same instance acceptable
-    assert main(["oracle", path, "--max-n", "13"]) == 0
-    assert capsys.readouterr().out == "0\n"
+    # raising the guard makes the same instance acceptable, in either spelling
+    for raised in (["--max-n", "13"], ["--max-n=13"]):
+        assert main(["oracle", path, *raised]) == 0
+        assert capsys.readouterr().out == "0\n"
+    assert main(["oracle", path, "--max-n=12"]) == 5
+    capsys.readouterr()
 
 
 def test_rank_trace_goes_to_stderr(tmp_path, capsys):
@@ -195,6 +199,60 @@ def test_rank_trace_goes_to_stderr(tmp_path, capsys):
     assert out == "0\n"
     assert "block 0 cycle attach 0 good" in err
     assert "base path-dp" in err
+
+
+def test_usage_errors(tmp_path, capsys):
+    # each returns 2 with one line on stderr; none raises SystemExit
+    path = write(tmp_path, "t.txt", TRIANGLE_GOOD)
+    for argv in (
+        [],
+        ["frobnicate", path],
+        ["rank", path, "--depth", "3"],
+        ["rank", path, "--tr"],  # no prefix abbreviations
+        ["oracle", path, "--max-n"],
+        ["oracle", path, "--max-n", "x"],
+        ["rank", path, "--trace=1"],
+        ["rank"],
+        ["rank", path, path],
+        ["gen", "--cycles", "2"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: "), (argv, err)
+        assert err.count("\n") == 1, (argv, err)
+
+
+def test_help_lists_every_command(tmp_path, capsys):
+    path = write(tmp_path, "t.txt", TRIANGLE_GOOD)
+    for argv in (["-h"], ["--help"], ["rank", path, "--help"]):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        for command in ("rank", "oracle", "reduce", "rrcheck", "check", "bes", "gen"):
+            assert f"\n  {command} " in out, (argv, command)
+
+
+def test_output_errors_are_reported_as_such():
+    # a reader that went away and a closed stdout are output errors: one
+    # line, exit code 2; the exit flush adds nothing even when stdout is
+    # block-buffered
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    for argv in (["gen", "--vertices", "2000", "--cycles", "100"],
+                 ["gen", "--vertices", "5"]):
+        cmd = [sys.executable, "-m", "cactusrank", *argv]
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(cmd, stdout=w, stderr=subprocess.PIPE, env=env,
+                                  text=True)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (
+            2, "cannot write output: [Errno 32] Broken pipe\n"), argv
+        proc = subprocess.run(cmd, stderr=subprocess.PIPE, env=env, text=True,
+                              preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (
+            2, "cannot write output: stdout is closed\n"), argv
 
 
 def test_module_entry_point(tmp_path):
@@ -219,18 +277,22 @@ print(code, " ".join(sorted(sys.modules)))
 
 def test_cli_call_loads_only_its_command(tmp_path):
     # start-up as a count, not a timer: a fresh interpreter runs one command
-    # and lists every module it loaded
+    # and lists every module it loaded; no command loads argparse
     path = write(tmp_path, "t.txt", TRIANGLE_GOOD)
-    for command, used, unused in (
-        ("rank", "cactusrank.engine", {"cactusrank.oracle", "cactusrank.generator",
-                                       "cactusrank.blockrank"}),
-        ("oracle", "cactusrank.oracle", {"cactusrank.blocks", "cactusrank.engine",
-                                         "cactusrank.generator"}),
+    for argv, answer, used, unused in (
+        (["rank", path], "0", "cactusrank.engine",
+         {"cactusrank.blocks", "cactusrank.oracle", "cactusrank.generator",
+          "cactusrank.blockrank", "dataclasses", "inspect"}),
+        (["oracle", path], "0", "cactusrank.oracle",
+         {"cactusrank.blocks", "cactusrank.engine", "cactusrank.generator",
+          "dataclasses", "inspect"}),
+        (["gen", "--vertices", "3"], "n 3", "cactusrank.generator",
+         {"cactusrank.blocks", "cactusrank.engine", "cactusrank.oracle"}),
     ):
-        answer, summary = run_fresh(_LOADED, command, path).splitlines()
+        first, *_, summary = run_fresh(_LOADED, *argv).splitlines()
         code, *loaded = summary.split()
-        assert (answer, code) == ("0", "0") and used in loaded
-        assert not (unused | {"dataclasses", "inspect"}) & set(loaded), command
+        assert (first, code) == (answer, "0") and used in loaded, argv
+        assert not (unused | {"argparse"}) & set(loaded), argv
 
 
 def _mutate(seed: bytes, edits) -> bytes:
@@ -268,3 +330,29 @@ def test_exit_code_contract_on_arbitrary_bytes(tmp_path, capsys, data):
         assert code in (0, 2, 3, 4, 5), (command, data, code)
         if code:
             assert err.endswith("\n") and err.count("\n") == 1, (command, data, err)
+
+
+# what argv tokens are drawn from: every command and option name, spelled
+# both ways, small ints, and free text without NUL (an operating system's
+# argv cannot hold one)
+_OPTIONS = sorted({opt for _, _, options, _ in _COMMANDS.values() for opt in options})
+_INTS = st.integers(-3, 40).map(str)
+_TOKENS = st.one_of(
+    st.sampled_from([*_COMMANDS, *_OPTIONS, "-h", "--help", "-", "--"]),
+    _INTS,
+    st.builds("{}={}".format, st.sampled_from(_OPTIONS), _INTS),
+    st.text(st.characters(exclude_characters="\x00"), max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_TOKENS, max_size=8), st.integers(0, 8))
+def test_main_returns_an_exit_code_on_any_argv(tmp_path, capsys, monkeypatch,
+                                               tokens, at):
+    # one valid file among the tokens; relative names resolve in tmp_path
+    monkeypatch.chdir(tmp_path)
+    tokens.insert(at, write(tmp_path, "t.txt", TRIANGLE_GOOD))
+    code = main(tokens)
+    capsys.readouterr()
+    assert type(code) is int and 0 <= code <= 5, tokens

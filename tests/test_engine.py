@@ -5,8 +5,7 @@ from array import array
 import pytest
 
 import cactusrank as cr
-from cactusrank.blocks import _scan
-from cactusrank.engine import _UNREACHABLE, _funnel, _product, _split
+from cactusrank.engine import _UNREACHABLE, _funnel, _product, _scan, _split
 
 from .helpers import (
     bowtie,
