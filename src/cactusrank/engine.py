@@ -19,36 +19,26 @@ depends on the block:
                 Both branches must be evaluated; taking the +1 branch alone
                 overshoots on some inputs (see the regression tests).
 
-Every rung below reads one funnel over the scan: it moves each block's
+Every pass below reads one funnel over the scan: it moves each block's
 chips onto the attachment and gives each cycle the positional residue
 sum(pos * w) mod k of the chips w that reach its positions, which vanishes
-exactly when the cycle is good (see _funnel).
-
-Before the scan starts, the engine checks the degree regimes that admit
-direct answers, which is also what keeps the common cases linear.  It reads
-the cycle count as m - n + 1, the number of cycle blocks of a connected
-cactus.  Every rung reads the scan to its end, even once its answer is
-known, so a graph that is not a connected cactus raises at every degree:
-
-  deg < 0                rank is -1;
-  deg = 0                rank is 0 when the funnel meets no bad cycle (the
-                         divisor class is trivial), else -1;
-  deg > 2*cycles - 2     rank is deg - cycles;
-  deg = 2*cycles - 2     mirror through the canonical divisor K (Riemann-Roch,
-                         Baker-Norine 2007): K - f has degree 0, so its rank
-                         is 0 or -1 by the funnel read over K - f, and
-                         rank = rank(K - f) + cycles - 1.
-
-Degrees strictly inside (0, 2*cycles - 2) take one bottom-up path DP over
-the funnel, one block per step.  Flattening the nested min gives
+exactly when the cycle is good (see _funnel).  Flattening the nested min gives
 
     rank = min over charge/skip paths of max(D - L + c, c - 1)
 
-where c counts the charged good cycles on a path and L = b + 2c is the
-chips it loses: one at each of its b bad cycles, two per charge.  A path
-through the blocks hanging below a vertex u leaves S_u - L_u chips on u,
-S_u being the chips the funnel moves onto u, so the cycle above u is good
-exactly when its funnel residue minus sum(pos * L_u) vanishes mod k.
+where D is the degree, c counts the charged good cycles on a path and
+L = b + 2c is the chips it loses: one at each of its b bad cycles, two per
+charge.  Read at c = 0 this is the regime ladder, _no_charge: a path with
+a charge is worth at least 0, so once the all-skip path loses L(0) >= D
+chips the rank is max(D - L(0), -1).  The test runs on f, then on K - f,
+K the canonical divisor, of degree 2g - 2 on the g = m - n + 1 cycles of a
+connected cactus: rank(f) = rank(K - f) + D - g + 1 (Riemann-Roch,
+Baker-Norine 2007).  The two close every degree outside (0, 2g - 2) and
+much of the band.  The rest takes one bottom-up path DP over the funnel,
+one block per step.  A path through the blocks hanging below a vertex u
+leaves S_u - L_u chips on u, S_u being the chips the funnel moves onto u,
+so the cycle above u is good exactly when its funnel residue minus
+sum(pos * L_u) vanishes mod k.
 
 Losing more chips below a vertex never raises the rank, so for each vertex
 and each c the DP keeps only the largest L.  An extra lost chip matters only
@@ -67,16 +57,13 @@ count.  The DP is polynomial, not linear: the lists grow with the cycles
 below a vertex, and merging two costs the product of their lengths; README
 "Performance" has the timings.
 
-The list algebra is written once.  _product adds a list at one position of
-a ring of residue states: a cycle folds in each vertex's list with it, and
-a vertex merge is the ring of one.  _CLOSE is the closing rule, one row per
-side a cycle can take.  With trace=True the pass also logs each cycle's
-folds as (states before, position, list), its closing states and both
-operands of each vertex merge, then reads the minimising (c, L) back from
-the root, blocks in reverse order: _split, the inverse of _product, finds
-the operands of each entry (fewest charges first) and _CLOSE the side taken.
-That gives one record per block along the path, at a constant factor over
-the untraced pass.
+With trace=True the pass also logs each cycle's folds as (states before,
+position, list), its closing states and both operands of each vertex
+merge, then reads the minimising (c, L) back from the root, blocks in
+reverse order: _split, the inverse of _product, finds the operands of each
+entry (fewest charges first) and _CLOSE the side taken.  That gives one
+record per block along the path, at a constant factor over the untraced
+pass.
 """
 
 from __future__ import annotations
@@ -100,11 +87,11 @@ def _scan(g: Multigraph):
     pops.  path holds the vertices being visited, root first above a -1
     that stands for the root's parent: a vertex's parent is the top of path
     when it is visited, and its marker pops it off path once its subtree is
-    done.  At a visit, every visited neighbor other
-    than one copy of the parent edge is an ancestor on path, and that back
-    edge closes a cycle with the stretch of path above it.  The cycle claims
-    the stretch's tree edges; an edge claimed twice lies on two cycles.
-    Tree edges left unclaimed are bridges.
+    done.  At a visit, every visited neighbor other than one copy of the
+    parent edge is an ancestor on path, and that back edge closes a cycle
+    with the stretch of path above it.  The cycle claims the stretch's tree
+    edges; an edge claimed twice lies on two cycles.  Tree edges left
+    unclaimed are bridges.
 
     Each block has a child: the bridge's lower end, or the cycle's vertex
     after its attachment.  Everything hanging below a block lies in its
@@ -176,7 +163,8 @@ class TraceStep(NamedTuple):
     "cycle", or "base" for the closing record; adjustment is the chip charge
     at the attachment (0, -1 or -2); branch reports which side of the min
     the path takes at a good cycle ("charged" or "skipped"), or the closing
-    regime on the "base" record: a ladder rung, or "path-dp"."""
+    regime on the "base" record: "no-charge" or "mirror", the test over f or
+    K - f that closed, or "path-dp"."""
 
     index: int
     kind: str
@@ -242,12 +230,13 @@ _CLOSE = (((0, 1, "cycle", "bad", None),),
           ((0, 0, "cycle", "good", "skipped"), (1, 2, "cycle", "good", "charged")))
 
 
-def _funnel(blocks, f: Sequence[int], sign: int):
+def _funnel(blocks, f: Sequence[int], sign: int, pay: int = 0):
     """Eliminate the blocks of the scan in turn, funnelling each one's chips
     onto its attachment, and yield (kind, vs, residue) per block: for a cycle
     of length k, sum(pos * w) mod k over the chips w that reach each position
     pos >= 1, its own and those funnelled onto it; 0 for an edge.  A cycle
     is good (its chips are equivalent to zero on it) iff its residue is 0.
+    With pay=1 a bad cycle hands one chip fewer down, as on the all-skip path.
 
     sign 1 reads the chips of f, sign -1 those of K - f, K the canonical
     divisor, without building it: K(u) + 2 is u's degree, its own block's
@@ -260,22 +249,47 @@ def _funnel(blocks, f: Sequence[int], sign: int):
     pop = extra.pop
     for kind, vs in blocks:
         a = vs[0]
+        res = 0
         if kind == 0:
             u = vs[1]
             s = sign * f[u] + pop(u, 0)
-            res = 0
         else:
             k = len(vs)
             s = 1 - sign  # for K - f, the cycle's share of 2
-            res = 0
             for pos in range(1, k):
                 u = vs[pos]
                 w = sign * f[u] + pop(u, 0)
                 s += w
                 res += pos * w
             res %= k
+            if res:
+                s -= pay
         extra[a] = extra.get(a, 0) + s
         yield kind, vs, res
+
+
+def _no_charge(g: Multigraph, f: Sequence[int], sign: int, d: int, cycles: int):
+    """The no-charge test over f (sign 1) or K - f (sign -1), of degree d:
+    the rank max(d - L(0), -1) if the all-skip path loses L(0) >= d chips,
+    else None.  It stops at the (d + 1)-th bad cycle, the rank being -1, and
+    gives up past cycles - d good ones, as L(0) < d then.  A test that closes
+    drains the scan, which raises unless g is a connected cactus."""
+    if d > cycles:
+        return None
+    blocks = _scan(g)
+    bad, spare = 0, cycles - d  # spare: the good cycles it can still meet
+    for kind, _, res in _funnel(blocks, f, sign, 1) if d >= 0 else ():
+        if res:
+            bad += 1
+            if bad > d:
+                break
+        elif kind:
+            spare -= 1
+            if spare < 0:
+                return None
+    for _ in blocks:
+        pass
+    return max(d - bad, -1)
 
 
 def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
@@ -283,36 +297,22 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
 
     The blocks are eliminated in the order build_bes reports; the rank does
     not depend on the order.  With trace=True the result carries one record
-    per block along a minimising charge/skip path and a closing "base"
-    record, whose regime is "path-dp" unless the degree ladder answers
-    before the first step.
+    per block along a minimising charge/skip path and a "base" record naming
+    "path-dp", at every degree in (0, 2g - 2), as only the path DP names a
+    path; elsewhere a no-charge test closes and the trace is its base record.
     """
     if len(f) != g.n:
         raise GraphError("divisor length mismatch")
-    blocks = _scan(g)  # from the root, vertex 0
-    # on a connected cactus, which the scan checks as it goes, the cycle
-    # blocks number m - n + 1
-    cycles = g.num_edges - g.n + 1
+    cycles = g.num_edges - g.n + 1  # on a connected cactus, as the scan checks
     deg = sum(f)
-
     top = 2 * cycles - 2
-    regime = None
-    if deg < 0:
-        r, regime = -1, "negative-degree"
-    elif deg == 0:
-        r = -1 if any(res for *_, res in _funnel(blocks, f, 1)) else 0
-        regime = "zero-degree"
-    elif deg > top:
-        r, regime = deg - cycles, "high-degree"
-    elif deg == top:
-        r = (-1 if any(res for *_, res in _funnel(blocks, f, -1)) else 0) + cycles - 1
-        regime = "mirror"
-    if regime is not None:
-        # the rest of the scan, which raises unless g is a connected cactus
-        for _ in blocks:
-            pass
-        return RankResult(r, (TraceStep(0, "base", 0, None, 0, deg, regime),)
-                          if trace else None)
+    if not (trace and 0 < deg < top):
+        for sign, d, shift, regime in ((1, deg, 0, "no-charge"),
+                                       (-1, top - deg, deg - cycles + 1, "mirror")):
+            r = _no_charge(g, f, sign, d, cycles)
+            if r is not None:
+                return RankResult(r + shift, (TraceStep(0, "base", 0, None, 0, deg, regime),)
+                                  if trace else None)
 
     # the path DP.  best[v][c]: the most chips L = b + 2c that a path
     # through the blocks below v can lose with c <= deg charges, absent
@@ -323,7 +323,7 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
     best: dict = {}
     take = best.pop
     log = [] if trace else None
-    for kind, vs, res in _funnel(blocks, f, 1):
+    for kind, vs, res in _funnel(_scan(g), f, 1):  # from the root, vertex 0
         a = vs[0]
         folds = states = None
         if kind == 0:

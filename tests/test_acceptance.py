@@ -211,6 +211,36 @@ def test_criterion_6_linear_time_benchmark(tmp_path):
           f"growth rates {['%.2f' % r for r in rates]}")
 
 
+def test_band_quarters_linear_time(tmp_path):
+    # criterion 6's family at 2^20 at 1/4 and 3/4 of the band (0, 2g - 2):
+    # the no-charge test over f closes the first and the one over K - f the
+    # second, so neither runs the path DP, which took 131 and 149 s.  On a
+    # 2-vCPU Xeon VM (CPython 3.11.7) the CLI call measured 2.9-3.6 s.
+    n = 2 ** 20
+    cycles = n // 8
+    times = {}
+    for quarters in (1, 3):
+        d = quarters * (2 * cycles - 2) // 4
+        g, f = cr.generate(cr.GeneratorParams(
+            vertices=n, cycles=cycles, max_cycle_len=8, divisor_degree=d, seed=101))
+        path = tmp_path / f"band_{quarters}.txt"
+        path.write_text(cr.serialize(g, f))
+        del g, f
+        best = math.inf
+        for _ in range(2):
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "cactusrank", "rank", str(path)],
+                                  env=CHILD_ENV, capture_output=True, text=True)
+            best = min(best, time.perf_counter() - t0)
+            assert proc.returncode == 0, proc.stderr
+        r = int(proc.stdout)
+        assert d - cycles <= r <= d // 2, (quarters, r)
+        times[quarters] = best
+        path.unlink()
+    assert max(times.values()) < 5.0, times
+    print(f"band quarters PASS: t(1/4)={times[1]:.2f}s, t(3/4)={times[3]:.2f}s at 2^20")
+
+
 def test_rank_peak_rss(tmp_path):
     # criterion 6's file at 2^20 is 21 MB.  The parse reads it a run at a
     # time into one endpoint array and the divisor, and the engine folds in

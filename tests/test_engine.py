@@ -233,11 +233,11 @@ def test_trace_structure():
 
 def test_trace_digest_pinned():
     # every record of 4,200 traced ranks (600 random cacti up to 100
-    # vertices and genus 30, seven degrees each), pinned before the path
-    # DP's list algebra moved behind _product, _split and _CLOSE; a change
-    # to how the DP breaks ties shows here even when every rank holds
+    # vertices and genus 30, seven degrees each); a change to how the DP
+    # breaks ties shows here even when every rank holds, and so does one to
+    # which no-charge test closes a degree outside the band (0, 2g - 2)
     assert trace_digest(71, 600) == (
-        "58ef1cdb2ad89c0a40ea9a16fa3b838692088a51df11ae07cc4ac034d172303c")
+        "87a3db470e04d17231df86c0d764a614eaa4283028651fba67921fcadb1db70a")
 
 
 def test_rank_witness_from_trace():
@@ -275,12 +275,15 @@ def test_matches_oracle_at_genus_6_to_11():
 
 
 def test_trace_regimes():
+    # outside the band (0, 2g - 2) the base record names the no-charge test
+    # that closed: over f, or over K - f when f's test gives up
     g = cycle_graph(4)
-    assert cr.rank(g, [9, 0, 0, 0], trace=True).trace[-1].branch == "high-degree"
-    assert cr.rank(g, [0, 0, 0, 0], trace=True).trace[-1].branch == "zero-degree"
-    assert cr.rank(g, [-1, 0, 0, 0], trace=True).trace[-1].branch == "negative-degree"
+    assert cr.rank(g, [9, 0, 0, 0], trace=True).trace[-1].branch == "mirror"
+    assert cr.rank(g, [0, 0, 0, 0], trace=True).trace[-1].branch == "no-charge"
+    assert cr.rank(g, [-1, 0, 0, 0], trace=True).trace[-1].branch == "no-charge"
     g2 = bowtie()
     assert cr.rank(g2, [2, 0, 0, 0, 0], trace=True).trace[-1].branch == "mirror"
+    assert cr.rank(g2, [1, 0, 0, 0, 0], trace=True).trace[-1].branch == "path-dp"
 
 
 def test_engine_leaves_no_state_behind():
@@ -354,11 +357,11 @@ def test_mirror_regime_agrees_with_oracle():
 
 
 def test_residue_sweep_at_genus_6_to_8():
-    # degree 0 and 2g - 2 close before the first step, by the residue sweep
-    # over every cycle of f or of K - f.  Half the divisors are 0 or K moved
-    # by a random firing, so the sweep gives both verdicts in each regime.
+    # degree 0 and 2g - 2 close before the first step, by the no-charge test
+    # over f or over K - f.  Half the divisors are 0 or K moved by a random
+    # firing, so the test gives both verdicts in each regime.
     rng = random.Random(66)
-    for regime in ("zero-degree", "mirror"):
+    for regime in ("no-charge", "mirror"):
         verdicts = set()
         hits = 0
         while hits < 75:
@@ -366,7 +369,7 @@ def test_residue_sweep_at_genus_6_to_8():
             gn = cr.genus(g)
             if gn < 6:
                 continue
-            base = [0] * g.n if regime == "zero-degree" else cr.canonical_divisor(g)
+            base = [0] * g.n if regime == "no-charge" else cr.canonical_divisor(g)
             if rng.random() < 0.5:
                 x = [rng.randint(-2, 2) for _ in range(g.n)]
                 f = list(cr.apply_firing(g, base, x))
@@ -377,7 +380,7 @@ def test_residue_sweep_at_genus_6_to_8():
             res = cr.rank(g, f, trace=True)
             assert res.trace[-1].branch == regime, (g.edges, tuple(f))
             assert res.rank == naive_rank(g, f), (g.edges, tuple(f))
-            verdicts.add(res.rank - (0 if regime == "zero-degree" else gn - 1))
+            verdicts.add(res.rank - (0 if regime == "no-charge" else gn - 1))
             hits += 1
         assert verdicts == {0, -1}, regime
 
@@ -467,17 +470,40 @@ class _CountedReads(list):
 
 
 def test_degree_0_and_mirror_stop_at_the_first_bad_cycle():
-    # the two rungs read f (or K - f) only up to the first bad cycle and then
-    # drain the scan, which keeps the 2^20 mirror call to the parse and the
-    # scan; a pass over every block would read f once per vertex
+    # at degree 0 and 2g - 2 the no-charge test reads f (or K - f) only up
+    # to the first bad cycle and then drains the scan, which keeps the 2^20
+    # mirror call to the parse and the scan; a pass over every block would
+    # read f once per vertex.  At g - 1 neither test can close, and each
+    # gives up at its second good cycle: the path DP's one read per vertex
+    # and a little more, where two full tests would read f about 3n times
     n = 1 << 10
     for seed in range(3):
-        for deg in (0, 2 * (n // 8) - 2):
+        for deg, most in ((0, n // 8), (2 * (n // 8) - 2, n // 8), (n // 8 - 1, 1.5 * n)):
             g, f = cr.generate(cr.GeneratorParams(
                 vertices=n, cycles=n // 8, max_cycle_len=8, divisor_degree=deg, seed=seed))
             counted = _CountedReads(f)
             assert cr.rank(g, counted) == cr.rank(g, f)
-            assert counted.reads < n // 8, (seed, deg, counted.reads)
+            assert counted.reads < most, (seed, deg, counted.reads)
+
+
+def test_ladder_agrees_with_the_path_dp():
+    # inside the band (0, 2g - 2) a traced call takes the path DP, while an
+    # untraced one first runs the no-charge tests over f and K - f, which
+    # close at -1 or at D - g, or give up.  Every degree of the band, with
+    # each outcome many times over
+    rng = random.Random(2203)
+    seen = {"-1": 0, "D - g": 0, "between": 0}
+    for _ in range(120):
+        g = random_cactus(rng, max_n=60, max_genus=16, max_cycle_len=rng.choice((2, 3, 6)))
+        gn = cr.genus(g)
+        for deg in range(1, 2 * gn - 2):
+            f = [rng.randint(-2, 3) for _ in range(g.n)]
+            while sum(f) != deg:
+                f[rng.randrange(g.n)] += 1 if sum(f) < deg else -1
+            r = rk(g, f)
+            assert r == cr.rank(g, f, trace=True).rank, (g.edges, f)
+            seen["-1" if r == -1 else "D - g" if r == deg - gn else "between"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 # a triangle at vertex 0 comes first in the scan, then the part that is not
