@@ -1,9 +1,9 @@
 """Divisor rank on cactus graphs.
 
-A fast block-elimination rank engine for cacti, closed forms for trees and
-cycles, an independent brute-force chip-firing oracle for cross-checking,
-a problem-file format, and a seeded generator.  See the cli module (or the
-cactusrank console script) for the command-line surface.
+A fast block-elimination rank engine for cacti, an independent
+brute-force chip-firing oracle for cross-checking, a problem-file format,
+and a seeded generator.  See the cli module (or the cactusrank console
+script) for the command-line surface.
 
 Importing the package loads none of its modules.  Each public name below
 loads the submodule that defines it on first use (PEP 562), so a caller,
@@ -22,11 +22,8 @@ _EXPORTS = {
                   "Multigraph NotCactusError OracleLimitError apply_firing "
                   "canonical_divisor degree genus index_divisor is_effective "
                   "laplacian_row"),
-        ("blocks", "BesStep Block BlockDecomposition BlockEliminationScheme "
-                   "BlockKind block_decomposition build_bes is_cactus "
-                   "validate_bes"),
-        ("blockrank", "Goodness contract_divisor cycle_goodness cycle_rank "
-                      "tree_rank zero_part"),
+        ("blocks", "BesStep Block BlockEliminationScheme BlockKind build_bes "
+                   "is_cactus"),
         ("engine", "RankResult TraceStep rank"),
         ("oracle", "ReducedDivisor is_l_effective oracle_rank q_reduce "
                    "rr_check"),

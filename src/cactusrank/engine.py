@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .graph import DisconnectedGraphError, GraphError, Multigraph, NotCactusError
+from .graph import DisconnectedGraphError, GraphError, Multigraph, NotCactusError, degree
 
 
 def _scan(g: Multigraph):
@@ -304,7 +304,7 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
     if len(f) != g.n:
         raise GraphError("divisor length mismatch")
     cycles = g.num_edges - g.n + 1  # on a connected cactus, as the scan checks
-    deg = sum(f)
+    deg = degree(f)  # GraphError for a non-integer entry
     top = 2 * cycles - 2
     if not (trace and 0 < deg < top):
         for sign, d, shift, regime in ((1, deg, 0, "no-charge"),

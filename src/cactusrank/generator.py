@@ -34,7 +34,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
-from .graph import Divisor, Multigraph
+from .graph import _MAX_VERTICES, Divisor, Multigraph
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -111,8 +111,8 @@ class GeneratorParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.vertices < 1:
-            raise ValueError("vertices must be at least 1")
+        if not 1 <= self.vertices <= _MAX_VERTICES:
+            raise ValueError(f"vertices must be in 1..{_MAX_VERTICES}")
         if self.cycles < 0:
             raise ValueError("cycles must be nonnegative")
         if self.max_cycle_len < 2:

@@ -9,6 +9,7 @@ half-edge lists) are computed lazily and cached.
 from __future__ import annotations
 
 from array import array
+from operator import index
 from typing import Iterable, Sequence
 
 # vertex ids are stored in C int arrays
@@ -55,7 +56,10 @@ class Multigraph:
             raise GraphError(f"vertex count must be an integer in 1..{_MAX_VERTICES}, got {n!r}")
         ends = array("i")
         for e in edges:
-            u, v = e
+            try:
+                u, v = map(index, e)
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {e!r} is not a pair of integer vertex ids") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -211,8 +215,12 @@ FiringVector = Sequence[int]
 
 
 def degree(f: Sequence[int]) -> int:
-    """Sum of all chip counts."""
-    return sum(f)
+    """Sum of all chip counts, an int.  A float, Fraction or Decimal entry
+    makes the sum one too, which has no __index__: GraphError."""
+    try:
+        return index(sum(f))
+    except TypeError:
+        raise GraphError("divisor entries must be integers") from None
 
 
 def is_effective(f: Sequence[int]) -> bool:

@@ -135,6 +135,7 @@ def q_reduce(g: Multigraph, f: Sequence[int], q: int) -> ReducedDivisor:
         raise GraphError(f"base vertex {q} out of range")
     if len(f) != g.n:
         raise GraphError("divisor length mismatch")
+    degree(f)  # GraphError for a non-integer entry
     if not g.is_connected():
         raise DisconnectedGraphError("q_reduce requires a connected graph")
     vals = _reduce_in_place(g.adjacency, g.degrees, list(f), q)
@@ -178,6 +179,7 @@ def oracle_rank(
         )
     if len(f) != g.n:
         raise GraphError("divisor length mismatch")
+    degree(f)  # GraphError for a non-integer entry
     if not g.is_connected():
         raise DisconnectedGraphError("oracle_rank requires a connected graph")
     adj = g.adjacency

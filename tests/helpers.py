@@ -1,9 +1,11 @@
 """Shared test utilities: deterministic graph builders, corpora, and
-transparent reference implementations of the rank recursion and of rank by
-definition."""
+transparent reference implementations: the rank recursion, rank by
+definition, the closed forms on trees and cycles, the per-block operators,
+the block decomposition and the elimination-scheme validator."""
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import itertools
 import os
@@ -11,8 +13,11 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import cactusrank as cr
+from cactusrank.blocks import Block, BlockEliminationScheme, BlockKind, _blocks
+from cactusrank.graph import Divisor, GraphError, Multigraph
 from cactusrank.oracle import _reduce_in_place
 
 
@@ -134,7 +139,7 @@ def naive_rank(g: cr.Multigraph, f) -> int:
             return rec(i + 1, nxt)
         remainder = [fmap[v] for v in vs[1:]]
         remainder.append(-sum(remainder))  # attachment last
-        if cr.cycle_goodness(remainder) is cr.Goodness.BAD:
+        if cycle_goodness(remainder) is Goodness.BAD:
             nxt[a] = total - 1
             return rec(i + 1, nxt)
         nxt[a] = total
@@ -183,6 +188,207 @@ def definition_rank(
             if _reduce_in_place(adj, deg, vals, 0)[0] < 0:
                 return r - 1
         r += 1
+
+
+
+# Closed-form ranks on trees and cycles, plus the per-block operators.
+#
+# On a tree the rank of a divisor is its degree (or -1 below zero).  On a
+# cycle of length k the only interesting case is degree zero, where the divisor
+# is equivalent to zero exactly when the weighted position sum
+#
+#     1*f_1 + 2*f_2 + ... + (k-1)*f_{k-1}  (mod k)
+#
+# vanishes; such divisors are called good, the rest bad.  Positions run along
+# the cycle with the attachment vertex last (position k, coefficient 0 mod k).
+# The congruence does not depend on where the labeling starts or on direction,
+# since the degree-zero condition absorbs both.
+#
+# contract_divisor and zero_part split a divisor across a free block: the sum
+# of the block moves onto the attachment, and the block keeps a balanced
+# remainder of degree zero.
+
+
+class Goodness(enum.Enum):
+    GOOD = "good"
+    BAD = "bad"
+
+
+def _cycle_length(f: Sequence[int]) -> int:
+    k = len(f)
+    if k < 2:
+        raise GraphError("cycle length must be at least 2")
+    return k
+
+
+def cycle_goodness(f: Sequence[int]) -> Goodness:
+    """Classify a degree-0 divisor on a cycle, entries in cycle order with
+    the attachment last."""
+    k = _cycle_length(f)
+    if sum(f) != 0:
+        raise GraphError("goodness is defined only for degree-0 divisors")
+    acc = 0
+    for i in range(k - 1):
+        acc = (acc + (i + 1) * f[i]) % k
+    return Goodness.GOOD if acc == 0 else Goodness.BAD
+
+
+def cycle_rank(f: Sequence[int]) -> int:
+    """Rank of any divisor on a cycle: -1 below degree 0, good/bad at 0,
+    degree-1 above."""
+    _cycle_length(f)
+    d = sum(f)
+    if d <= -1:
+        return -1
+    if d == 0:
+        return 0 if cycle_goodness(f) is Goodness.GOOD else -1
+    return d - 1
+
+
+def tree_rank(g: Multigraph, f: Sequence[int]) -> int:
+    """Rank of a divisor on a tree: the degree, floored at -1."""
+    if not g.is_connected() or g.num_edges != g.n - 1:
+        raise GraphError("tree_rank requires a tree")
+    if len(f) != g.n:
+        raise GraphError("divisor length mismatch")
+    d = sum(f)
+    return d if d >= 0 else -1
+
+
+def _check_free(g: Multigraph, block: Block, attach: int) -> None:
+    if len(set(block.vertices)) != len(block.vertices):
+        raise GraphError("block vertices must be distinct")
+    if not all(isinstance(v, int) and 0 <= v < g.n for v in block.vertices):
+        raise GraphError("block vertex out of range")
+    vs, kind = block.vertices, block.kind
+    if not _free_block_shape(g.adjacency, g.degrees, vs, attach, kind, _block_edges(kind, vs)):
+        raise GraphError(f"block is not free at vertex {attach}")
+
+
+def contract_divisor(g: Multigraph, f: Sequence[int], block: Block, attach: int) -> Divisor:
+    """Divisor after contracting a free block into its attachment: the
+    attachment collects the block's total, the other block vertices drop out.
+
+    The result lives on the contracted graph; its entries follow the
+    surviving vertices of g in ascending original id.  Degree is preserved.
+    """
+    if len(f) != g.n:
+        raise GraphError("divisor length mismatch")
+    _check_free(g, block, attach)
+    gone = set(block.vertices)
+    gone.discard(attach)
+    total = sum(f[v] for v in block.vertices)
+    out = []
+    for v in range(g.n):
+        if v in gone:
+            continue
+        out.append(total if v == attach else f[v])
+    return Divisor(out)
+
+
+def zero_part(g: Multigraph, f: Sequence[int], block: Block, attach: int) -> Divisor:
+    """Balanced remainder of f on a free block: equal to f away from the
+    attachment, with the attachment entry set so the total is zero.
+
+    Entries follow block.vertices order, so for a cycle block stored with
+    the attachment first, rotating the result by one gives the attachment-last
+    vector that cycle_goodness expects.
+    """
+    if len(f) != g.n:
+        raise GraphError("divisor length mismatch")
+    _check_free(g, block, attach)
+    vals = [f[v] for v in block.vertices]
+    ai = block.vertices.index(attach)
+    vals[ai] = -(sum(vals) - vals[ai])
+    return Divisor(vals)
+
+
+# The block decomposition and the scheme validator: the references that
+# build_bes is checked against.
+
+
+class BlockDecomposition(NamedTuple):
+    blocks: tuple[Block, ...]
+    cut_vertices: frozenset[int]
+    # block_of_edge[i] = index into blocks for edge id i (position in g.edges)
+    block_of_edge: tuple[int, ...]
+
+
+def block_decomposition(g: Multigraph) -> BlockDecomposition:
+    """Blocks, cut vertices, and the edge-to-block map of a cactus."""
+    blocks = _blocks(g)
+    count = [0] * g.n
+    for b in blocks:
+        for v in b.vertices:
+            count[v] += 1
+    pair_to_block = {e: bi for bi, b in enumerate(blocks) for e in _block_edges(*b)}
+    boe = tuple(
+        pair_to_block[(u, v) if u <= v else (v, u)] for u, v in g.edges
+    )
+    cuts = frozenset(v for v in range(g.n) if count[v] >= 2)
+    return BlockDecomposition(blocks, cuts, boe)
+
+
+def _block_edges(kind: BlockKind, vs) -> list:
+    """The edges of a block as sorted vertex pairs: a bridge's one edge, the
+    parallel pair of a 2-cycle twice, the sides of a longer cycle in ring
+    order."""
+    ring = vs[1:2] if kind is BlockKind.EDGE else (*vs[1:], vs[0])
+    return [(u, v) if u <= v else (v, u) for u, v in zip(vs, ring)]
+
+
+def _free_block_shape(adj, deg, vs, a: int, kind: BlockKind, edges: list) -> bool:
+    """Is (vs, a) a free edge/cycle block of the graph given by adj/deg?
+    edges is _block_edges(kind, vs); adj must hold each of them exactly as
+    often as it is listed, and every vertex but a must have all of its ends
+    inside the block."""
+    if a not in vs or len(set(vs)) != len(vs):
+        return False
+    if len(vs) != 2 if kind is BlockKind.EDGE else len(vs) < 2:
+        return False
+    count = {}
+    inside = dict.fromkeys(vs, 0)
+    for e in edges:
+        count[e] = count.get(e, 0) + 1
+        u, v = e
+        inside[u] += 1
+        inside[v] += 1
+    return (all(adj[u].get(v, 0) == m for (u, v), m in count.items())
+            and all(deg[u] == inside[u] for u in vs if u != a))
+
+
+def validate_bes(g: Multigraph, scheme: BlockEliminationScheme) -> bool:
+    """Replay the scheme on g and check every invariant.  Returns False on
+    any violation (wrong block, non-free block, leftovers...), never raises.
+
+    A free block's other vertices have no edge left once it is removed, so
+    when only the root survives, no edge does (g has no loops)."""
+    try:
+        n = g.n
+        adj = [dict(d) for d in g.adjacency]
+        deg = list(g.degrees)
+        alive = bytearray([1]) * n
+        for step in scheme.steps:
+            kind = step.block.kind
+            vs = step.block.vertices
+            a = step.attach
+            if not all(isinstance(v, int) and 0 <= v < n and alive[v] for v in vs):
+                return False
+            edges = _block_edges(kind, vs)
+            if not _free_block_shape(adj, deg, vs, a, kind, edges):
+                return False
+            for u, v in edges:
+                adj[u][v] -= 1
+                adj[v][u] -= 1
+                deg[u] -= 1
+                deg[v] -= 1
+            for v in vs:
+                if v != a:
+                    alive[v] = 0
+        survivors = [v for v in range(n) if alive[v]]
+        return survivors == [scheme.root]
+    except Exception:
+        return False
 
 
 # small named graphs used by several test modules
@@ -246,11 +452,12 @@ CHILD_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, (
     str(Path(__file__).resolve().parents[1] / "src"), CHILD_ENV.get("PYTHONPATH"))))
 
 
-def run_fresh(code: str, *args: str) -> str:
+def run_fresh(code: str, *args: str, timeout: float | None = None) -> str:
     """stdout of `python -c code *args` in a new interpreter that imports
-    cactusrank from this checkout's src/; fails the test on a non-zero exit."""
+    cactusrank from this checkout's src/; fails the test on a non-zero exit,
+    and on running past timeout seconds (subprocess.TimeoutExpired)."""
     proc = subprocess.run([sys.executable, "-c", code, *args], env=CHILD_ENV,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

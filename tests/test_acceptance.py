@@ -17,10 +17,21 @@ import time
 import pytest
 
 import cactusrank as cr
-from cactusrank import Goodness
 from cactusrank.cli import main
 
-from .helpers import CHILD_ENV, cli_peak_rss_mb, cycle_graph, prufer_tree, random_tree
+from .helpers import (
+    CHILD_ENV,
+    Goodness,
+    block_decomposition,
+    cli_peak_rss_mb,
+    cycle_goodness,
+    cycle_graph,
+    cycle_rank,
+    prufer_tree,
+    random_tree,
+    tree_rank,
+    validate_bes,
+)
 
 
 def rk(g, f):
@@ -69,7 +80,7 @@ def test_criterion_3_closed_forms():
     for g in trees:
         for f in divisors(g.n, 4):
             want = cr.oracle_rank(g, f)
-            assert cr.tree_rank(g, f) == want, (g.edges, f)
+            assert tree_rank(g, f) == want, (g.edges, f)
             assert rk(g, f) == want, (g.edges, f)
             tree_checks += 1
 
@@ -78,7 +89,7 @@ def test_criterion_3_closed_forms():
         g = cycle_graph(k)
         for f in divisors(k, 80):
             want = cr.oracle_rank(g, f)
-            assert cr.cycle_rank(list(f[1:]) + [f[0]]) == want, (k, f)
+            assert cycle_rank(list(f[1:]) + [f[0]]) == want, (k, f)
             assert rk(g, f) == want, (k, f)
             cycle_checks += 1
 
@@ -89,7 +100,7 @@ def test_criterion_3_closed_forms():
         for f in itertools.product(range(-3, 4), repeat=k):
             if sum(f) != 0:
                 continue
-            is_good = cr.cycle_goodness(list(f[1:]) + [f[0]]) is Goodness.GOOD
+            is_good = cycle_goodness(list(f[1:]) + [f[0]]) is Goodness.GOOD
             assert is_good == cr.is_l_effective(g, f), (k, f)
             good_checks += 1
     for k in (7, 8):
@@ -97,7 +108,7 @@ def test_criterion_3_closed_forms():
         for _ in range(300):
             f = [rng.randint(-3, 3) for _ in range(k - 1)]
             f.append(-sum(f))
-            is_good = cr.cycle_goodness(list(f[1:]) + [f[0]]) is Goodness.GOOD
+            is_good = cycle_goodness(list(f[1:]) + [f[0]]) is Goodness.GOOD
             assert is_good == cr.is_l_effective(g, f), (k, f)
             good_checks += 1
 
@@ -112,11 +123,11 @@ def test_criterion_4_goodness_invariance():
         for _ in range(200):
             f = [rng.randint(-4, 4) for _ in range(n - 1)]
             f.append(-sum(f))
-            base = cr.cycle_goodness(f)
+            base = cycle_goodness(f)
             for r in range(n):
                 rot = f[r:] + f[:r]
-                assert cr.cycle_goodness(rot) is base, (f, r)
-                assert cr.cycle_goodness(rot[::-1]) is base, (f, r)
+                assert cycle_goodness(rot) is base, (f, r)
+                assert cycle_goodness(rot[::-1]) is base, (f, r)
             total += 1
     print(f"criterion 4 PASS: goodness stable across all rotations and "
           f"reflections of {total} degree-0 divisors")
@@ -340,8 +351,8 @@ def test_traced_rank_time():
 def test_criterion_7_scheme_validity(corpus):
     for g, _ in corpus:
         scheme = cr.build_bes(g)
-        assert cr.validate_bes(g, scheme), g.edges
-        dec = cr.block_decomposition(g)
+        assert validate_bes(g, scheme), g.edges
+        dec = block_decomposition(g)
         assert len(scheme.steps) == len(dec.blocks), g.edges
         n_cyc = sum(
             1 for s in scheme.steps if s.block.kind is cr.BlockKind.CYCLE

@@ -10,11 +10,8 @@ PUBLIC = {
     "Divisor", "DisconnectedGraphError", "FiringVector", "GraphError",
     "Multigraph", "apply_firing", "canonical_divisor", "degree", "genus",
     "index_divisor", "is_effective", "laplacian_row",
-    "BesStep", "Block", "BlockDecomposition", "BlockEliminationScheme",
-    "BlockKind", "NotCactusError", "block_decomposition", "build_bes",
-    "is_cactus", "validate_bes",
-    "Goodness", "contract_divisor", "cycle_goodness", "cycle_rank",
-    "tree_rank", "zero_part",
+    "BesStep", "Block", "BlockEliminationScheme", "BlockKind",
+    "NotCactusError", "build_bes", "is_cactus",
     "RankResult", "TraceStep", "rank",
     "OracleLimitError", "ReducedDivisor", "is_l_effective", "oracle_rank",
     "q_reduce", "rr_check",
@@ -77,7 +74,6 @@ def test_records_are_named_tuples():
         (edge, (cr.BlockKind.EDGE, (0, 1))),
         (cr.BesStep(edge, 0), (edge, 0)),
         (cr.BlockEliminationScheme((cr.BesStep(edge, 0),), 0), (((edge, 0),), 0)),
-        (cr.BlockDecomposition((edge,), frozenset(), (0,)), ((edge,), frozenset(), (0,))),
     ]
     for rec, fields in records:
         twin = type(rec)(*fields)

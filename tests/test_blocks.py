@@ -6,12 +6,14 @@ import cactusrank as cr
 from cactusrank import Block, BesStep, BlockEliminationScheme, BlockKind
 
 from .helpers import (
+    block_decomposition,
     bowtie,
     cycle_graph,
     k4,
     path_graph,
     random_cactus,
     stacked_triangles,
+    validate_bes,
 )
 
 
@@ -72,7 +74,7 @@ def test_build_bes_deterministic():
 
 
 def test_block_decomposition_triangle_with_pendant():
-    dec = cr.block_decomposition(triangle_with_pendant())
+    dec = block_decomposition(triangle_with_pendant())
     assert len(dec.blocks) == 2
     assert dec.cut_vertices == frozenset({2})
     # edges are (0,1),(1,2),(2,0),(2,3); the first three form block 1
@@ -83,7 +85,7 @@ def test_block_decomposition_counts():
     rng = random.Random(99)
     for _ in range(100):
         g = random_cactus(rng)
-        dec = cr.block_decomposition(g)
+        dec = block_decomposition(g)
         n_cyc = sum(1 for b in dec.blocks if b.kind is BlockKind.CYCLE)
         assert n_cyc == cr.genus(g)
         # every edge is assigned to a block of which both ends are members
@@ -102,7 +104,7 @@ def test_cycle_blocks_are_rings():
     for _ in range(60):
         g = random_cactus(rng)
         adj = g.adjacency
-        for b in cr.block_decomposition(g).blocks:
+        for b in block_decomposition(g).blocks:
             if b.kind is BlockKind.EDGE:
                 assert len(b.vertices) == 2
                 continue
@@ -119,23 +121,23 @@ def test_validate_bes_accepts_built_schemes():
     rng = random.Random(11)
     for _ in range(150):
         g = random_cactus(rng)
-        assert cr.validate_bes(g, cr.build_bes(g))
+        assert validate_bes(g, cr.build_bes(g))
 
 
 def test_validate_bes_rejects_wrong_order():
     g = stacked_triangles(2)
     scheme = cr.build_bes(g)
     swapped = BlockEliminationScheme(tuple(reversed(scheme.steps)), scheme.root)
-    assert not cr.validate_bes(g, swapped)
+    assert not validate_bes(g, swapped)
 
 
 def test_validate_bes_rejects_wrong_graph_and_root():
     g = triangle_with_pendant()
     scheme = cr.build_bes(g)
-    assert not cr.validate_bes(k4(), scheme)
-    assert not cr.validate_bes(g, BlockEliminationScheme(scheme.steps, root=1))
+    assert not validate_bes(k4(), scheme)
+    assert not validate_bes(g, BlockEliminationScheme(scheme.steps, root=1))
     missing = BlockEliminationScheme(scheme.steps[:1], scheme.root)
-    assert not cr.validate_bes(g, missing)
+    assert not validate_bes(g, missing)
 
 
 def test_validate_bes_rejects_tampered_block():
@@ -145,14 +147,14 @@ def test_validate_bes_rejects_tampered_block():
         BesStep(Block(BlockKind.EDGE, (1, 3)), 1),  # not an edge of g
         scheme.steps[1],
     )
-    assert not cr.validate_bes(g, BlockEliminationScheme(bad, scheme.root))
+    assert not validate_bes(g, BlockEliminationScheme(bad, scheme.root))
     edge, cyc = BlockKind.EDGE, BlockKind.CYCLE
     pendant = BesStep(Block(edge, (2, 3)), 2)
     triangle = BesStep(Block(cyc, (0, 1, 2)), 0)
     assert scheme.steps == (pendant, triangle)
     double = cr.Multigraph(3, [(0, 1), (0, 1), (1, 2)])
     tail = BesStep(Block(edge, (1, 2)), 1)
-    assert cr.validate_bes(double, BlockEliminationScheme(
+    assert validate_bes(double, BlockEliminationScheme(
         (tail, BesStep(Block(cyc, (0, 1)), 0)), 0))
     tampered = [
         # a 2-cycle listed as an edge
@@ -175,7 +177,7 @@ def test_validate_bes_rejects_tampered_block():
         (cycle_graph(4), (BesStep(Block(cyc, (0, 1, 3, 2)), 0),)),
     ]
     for graph, steps in tampered:
-        assert not cr.validate_bes(graph, BlockEliminationScheme(steps, 0)), steps
+        assert not validate_bes(graph, BlockEliminationScheme(steps, 0)), steps
 
 
 def test_validate_bes_rejects_bad_vertices_and_steps():
@@ -185,15 +187,15 @@ def test_validate_bes_rejects_bad_vertices_and_steps():
     edge = BlockKind.EDGE
     pendant = BesStep(Block(edge, (2, 3)), 2)
     triangle = BesStep(Block(BlockKind.CYCLE, (0, 1, 2)), 0)
-    assert cr.validate_bes(g, BlockEliminationScheme((pendant, triangle), 0))
+    assert validate_bes(g, BlockEliminationScheme((pendant, triangle), 0))
     for bad in ((2, 4), (2, -1), (2, 3.0), (2, "3"), (2, None)):
         steps = (BesStep(Block(edge, bad), 2), triangle)
-        assert not cr.validate_bes(g, BlockEliminationScheme(steps, 0)), bad
+        assert not validate_bes(g, BlockEliminationScheme(steps, 0)), bad
     # 3 was removed with the pendant edge
     again = BesStep(Block(edge, (3, 2)), 2)
-    assert not cr.validate_bes(g, BlockEliminationScheme((pendant, again, triangle), 0))
+    assert not validate_bes(g, BlockEliminationScheme((pendant, again, triangle), 0))
     bare = (tuple(pendant), triangle)
-    assert not cr.validate_bes(g, BlockEliminationScheme(bare, 0))
+    assert not validate_bes(g, BlockEliminationScheme(bare, 0))
 
 
 def test_validate_bes_accepts_rotated_cycle_listing():
@@ -202,7 +204,7 @@ def test_validate_bes_accepts_rotated_cycle_listing():
     s0 = cr.build_bes(g).steps[0]
     rotated = BesStep(Block(BlockKind.CYCLE, (1, 2, 0)), 0)
     scheme = BlockEliminationScheme((s0, rotated), 0)
-    assert cr.validate_bes(g, scheme)
+    assert validate_bes(g, scheme)
 
 
 def test_validate_bes_order_freedom_at_shared_attach():
@@ -210,8 +212,8 @@ def test_validate_bes_order_freedom_at_shared_attach():
     scheme = cr.build_bes(g)
     assert len(scheme.steps) == 2
     flipped = BlockEliminationScheme(tuple(reversed(scheme.steps)), scheme.root)
-    assert cr.validate_bes(g, scheme)
-    assert cr.validate_bes(g, flipped)
+    assert validate_bes(g, scheme)
+    assert validate_bes(g, flipped)
 
 
 def test_elimination_order_is_leaf_first():
@@ -229,4 +231,4 @@ def test_step_count_matches_block_count():
     rng = random.Random(34)
     for _ in range(80):
         g = random_cactus(rng)
-        assert len(cr.build_bes(g).steps) == len(cr.block_decomposition(g).blocks)
+        assert len(cr.build_bes(g).steps) == len(block_decomposition(g).blocks)

@@ -282,7 +282,7 @@ def test_cli_call_loads_only_its_command(tmp_path):
     for argv, answer, used, unused in (
         (["rank", path], "0", "cactusrank.engine",
          {"cactusrank.blocks", "cactusrank.oracle", "cactusrank.generator",
-          "cactusrank.blockrank", "dataclasses", "inspect"}),
+          "dataclasses", "inspect"}),
         (["oracle", path], "0", "cactusrank.oracle",
          {"cactusrank.blocks", "cactusrank.engine", "cactusrank.generator",
           "dataclasses", "inspect"}),

@@ -6,9 +6,10 @@ import pytest
 import cactusrank as cr
 from cactusrank import BlockKind
 from cactusrank.cli import main
+from cactusrank import generator
 from cactusrank.generator import SplitMix64, _draws
 
-from .helpers import cli_peak_rss_mb
+from .helpers import block_decomposition, cli_peak_rss_mb
 
 
 def test_splitmix64_reference_stream():
@@ -102,7 +103,7 @@ def test_generate_structure():
         assert cr.is_cactus(g)
         assert cr.genus(g) == 4
         assert f.degree == 2
-        dec = cr.block_decomposition(g)
+        dec = block_decomposition(g)
         cyc_lens = [
             len(b.vertices) for b in dec.blocks if b.kind is BlockKind.CYCLE
         ]
@@ -143,6 +144,22 @@ def test_params_validation():
         cr.GeneratorParams(vertices=5, max_cycle_len=1)
     with pytest.raises(ValueError):
         cr.GeneratorParams(vertices=3, cycles=4)
+
+
+def test_params_refuse_more_vertices_than_a_graph_holds(monkeypatch, capsys):
+    # Multigraph and the problem-file parser cap n at 2^31 - 1 (a C int)
+    with pytest.raises(ValueError, match=r"vertices must be in 1\.\.2147483647"):
+        cr.GeneratorParams(vertices=2 ** 31)
+    assert cr.GeneratorParams(vertices=2 ** 31 - 1).vertices == 2 ** 31 - 1
+
+    def refuse(params):
+        raise AssertionError("gen generated past the cap")
+
+    # never generate at that size: the budget loop and the block list
+    # would take minutes and gigabytes
+    monkeypatch.setattr(generator, "generate", refuse)
+    assert main(["gen", "--vertices", str(2 ** 31)]) == 2
+    assert capsys.readouterr() == ("", "gen: vertices must be in 1..2147483647\n")
 
 
 def test_seed_changes_output():

@@ -32,6 +32,15 @@ def test_multigraph_rejects_out_of_range():
         cr.Multigraph(0, [])
 
 
+def test_multigraph_rejects_non_integer_endpoints():
+    # a GraphError, not a TypeError or an unpacking ValueError
+    for e in ((0, 1.0), (0, "1"), (0, 1, 2), (0,)):
+        with pytest.raises(cr.GraphError, match="not a pair of integer vertex ids"):
+            cr.Multigraph(3, [e])
+    # other integer types stay vertex ids
+    assert cr.Multigraph(3, [(False, True), (1, 2)]).edges == ((0, 1), (1, 2))
+
+
 def test_multigraph_eq_ignores_edge_orientation_and_order():
     a = cr.Multigraph(3, [(0, 1), (1, 2)])
     b = cr.Multigraph(3, [(2, 1), (0, 1)])

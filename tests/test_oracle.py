@@ -18,6 +18,7 @@ from .helpers import (
     path_graph,
     random_cactus,
     random_divisor,
+    run_fresh,
 )
 
 
@@ -129,6 +130,41 @@ def test_oracle_rank_argument_errors():
         cr.oracle_rank(path_graph(3), [0, 0])
     with pytest.raises(cr.DisconnectedGraphError):
         cr.oracle_rank(cr.Multigraph(3, [(0, 1)]), [0, 0, 0])
+
+
+_NON_INTEGER = """
+from decimal import Decimal
+from fractions import Fraction
+import cactusrank as cr
+g = cr.Multigraph(3, [(0, 1), (1, 2), (2, 0)])
+calls = (cr.rank, cr.oracle_rank, cr.is_l_effective, lambda g, f: cr.q_reduce(g, f, 0))
+for f in ([2, 0.5, -0.5], [1, Fraction(1, 2), Fraction(-1, 2)], [Decimal(2), 0, 0]):
+    for call in calls:
+        try:
+            print(call(g, f))
+        except cr.GraphError as e:
+            print(e)
+"""
+
+
+def test_non_integer_divisors_are_refused():
+    # on the triangle at (2, 0.5, -0.5) the debt clearing would borrow
+    # (0.5 + 1) // 2 = 0.0 times per round, forever; in a child with a
+    # timeout such a hang fails the test instead of stalling the run
+    out = run_fresh(_NON_INTEGER, timeout=60)
+    assert out.splitlines() == ["divisor entries must be integers"] * 12
+    # bool and other integer types stay divisor entries
+    g = cycle_graph(3)
+    assert cr.rank(g, [True, 1, False]).rank == cr.oracle_rank(g, [True, 1, False]) == 1
+    assert cr.q_reduce(g, [False, True, True], 0).values == (2, 0, 0)
+
+
+def test_numpy_integer_divisor_entries():
+    np = pytest.importorskip("numpy")
+    g = cycle_graph(3)
+    f = [np.int64(2), np.int32(0), np.int8(0)]
+    assert cr.rank(g, f).rank == cr.oracle_rank(g, f) == 1
+    assert cr.q_reduce(g, f, 0).values == (2, 0, 0)
 
 
 def random_multigraph(rng: random.Random, n: int) -> cr.Multigraph:
