@@ -20,10 +20,9 @@ _EXPORTS = {
     for module, names in (
         ("graph", "Divisor DisconnectedGraphError FiringVector GraphError "
                   "Multigraph NotCactusError OracleLimitError apply_firing "
-                  "canonical_divisor degree genus index_divisor is_effective "
-                  "laplacian_row"),
-        ("blocks", "BesStep Block BlockEliminationScheme BlockKind build_bes "
-                   "is_cactus"),
+                  "canonical_divisor degree genus index_divisor is_cactus "
+                  "is_effective laplacian_row"),
+        ("blocks", "BesStep Block BlockEliminationScheme BlockKind build_bes"),
         ("engine", "RankResult TraceStep rank"),
         ("oracle", "ReducedDivisor is_l_effective oracle_rank q_reduce "
                    "rr_check"),

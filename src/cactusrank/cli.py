@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 
-from .graph import GraphError, NotCactusError, OracleLimitError
+from .graph import GraphError, NotCactusError, OracleLimitError, is_cactus
 from .problemfile import ParseError, _text_runs, parse_file
 
 
@@ -60,7 +60,6 @@ def _cmd_reduce(g, f, base) -> int:
 
 
 def _cmd_rrcheck(g, f) -> int:
-    from .blocks import is_cactus
     from .engine import rank
     from .oracle import oracle_rank, rr_check
 
@@ -71,8 +70,6 @@ def _cmd_rrcheck(g, f) -> int:
 
 
 def _cmd_check(g, f) -> int:
-    from .blocks import is_cactus
-
     print("cactus" if is_cactus(g) else "not-cactus")
     return 0
 

@@ -1,11 +1,10 @@
 """Divisor rank on a cactus by block elimination.
 
-The engine folds in the blocks as the block scan, _scan, yields them, in
-elimination order, leaf blocks first; no scheme is stored.  The scan lives
-here, not in the blocks module, so that a rank call compiles none of the
-block records; blocks imports it back for its object API.  Eliminating a
-block moves its chip total onto the attachment vertex; what else happens
-depends on the block:
+The engine folds in the blocks as the graph module's block scan, _scan,
+yields them, in elimination order, leaf blocks first; no scheme is stored,
+so a rank call loads none of the block records.  Eliminating a block
+moves its chip total onto the attachment vertex; what else happens depends
+on the block:
 
   edge block    rank unchanged, nothing else to do;
   cycle block   look at the balanced remainder of the chips on the cycle.
@@ -70,90 +69,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .graph import DisconnectedGraphError, GraphError, Multigraph, NotCactusError, degree
-
-
-def _scan(g: Multigraph):
-    """One iterative DFS from vertex 0 yielding (kind, vs) for each block in
-    elimination order: kind 0 and vs = (parent, child) for a bridge, kind 1
-    and vs the cycle's vertices in ring order for a cycle, the attachment
-    first.  Raises NotCactusError where an edge closes a second cycle, and
-    DisconnectedGraphError once the scan ends short of some vertex, so a
-    caller that stops early learns neither.
-
-    A visit pushes a marker (-1) and then every unvisited neighbor, the first
-    neighbor in edge order last, so vertices are visited in the order of the
-    recursive DFS; an entry for a vertex visited meanwhile is dropped when it
-    pops.  path holds the vertices being visited, root first above a -1
-    that stands for the root's parent: a vertex's parent is the top of path
-    when it is visited, and its marker pops it off path once its subtree is
-    done.  At a visit, every visited neighbor other than one copy of the
-    parent edge is an ancestor on path, and that back edge closes a cycle
-    with the stretch of path above it.  The cycle claims the stretch's tree
-    edges; an edge claimed twice lies on two cycles.  Tree edges left
-    unclaimed are bridges.
-
-    Each block has a child: the bridge's lower end, or the cycle's vertex
-    after its attachment.  Everything hanging below a block lies in its
-    child's subtree, so yielding each block when its child's marker pops is
-    an elimination order.
-    """
-    n = g.n
-    head, nxt = g._half_edges()
-    ends = g._ends
-    seen = bytearray(n)
-    # 0: the parent edge is a bridge; 1: a cycle claims it; 2: also the
-    # cycle's child, whose cycle waits in cycles.  The root has no parent
-    # edge and yields nothing.
-    claimed = bytearray(n)
-    claimed[0] = 1
-    cycles: dict = {}
-    path = [-1]
-    enter, leave = path.append, path.pop
-    stack = [0]
-    push, pop = stack.append, stack.pop
-    while stack:
-        x = pop()
-        if x < 0:
-            x = leave()
-            c = claimed[x]
-            if not c:
-                yield 0, (path[-1], x)
-            elif c == 2:
-                yield 1, cycles.pop(x)
-            continue
-        if seen[x]:
-            continue
-        seen[x] = 1
-        px = path[-1]
-        enter(x)
-        push(-1)
-        skip_parent = True
-        h = head[x]
-        while h >= 0:
-            y = ends[h ^ 1]
-            h = nxt[h]
-            if not seen[y]:
-                push(y)
-            elif y == px and skip_parent:
-                skip_parent = False
-            else:
-                i = len(path) - 2
-                while path[i] != y:
-                    i -= 1
-                chain = path[i:]
-                for t in chain[1:]:
-                    if claimed[t]:
-                        raise NotCactusError((x, y))
-                    claimed[t] = 1
-                claimed[chain[1]] = 2
-                cycles[chain[1]] = chain
-    reached = n - seen.count(0)
-    if reached != n:
-        raise DisconnectedGraphError(
-            f"graph is disconnected ({reached} of {n} vertices reachable)"
-        )
-
+from .graph import Multigraph, _divisor_degree, _scan
 
 _UNREACHABLE = float("-inf")
 
@@ -301,10 +217,8 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
     "path-dp", at every degree in (0, 2g - 2), as only the path DP names a
     path; elsewhere a no-charge test closes and the trace is its base record.
     """
-    if len(f) != g.n:
-        raise GraphError("divisor length mismatch")
+    deg = _divisor_degree(g, f)
     cycles = g.num_edges - g.n + 1  # on a connected cactus, as the scan checks
-    deg = degree(f)  # GraphError for a non-integer entry
     top = 2 * cycles - 2
     if not (trace and 0 < deg < top):
         for sign, d, shift, regime in ((1, deg, 0, "no-charge"),

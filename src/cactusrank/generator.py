@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, islice, repeat
+from operator import index
 
 from .graph import _MAX_VERTICES, Divisor, Multigraph
 
@@ -111,6 +112,13 @@ class GeneratorParams:
     seed: int = 0
 
     def __post_init__(self):
+        # plain ints, so that generate() meets no float, bool or numpy int
+        for field in fields(self):
+            value = getattr(self, field.name)
+            try:
+                object.__setattr__(self, field.name, index(value))
+            except TypeError:
+                raise ValueError(f"{field.name} must be an integer, got {value!r}") from None
         if not 1 <= self.vertices <= _MAX_VERTICES:
             raise ValueError(f"vertices must be in 1..{_MAX_VERTICES}")
         if self.cycles < 0:

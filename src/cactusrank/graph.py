@@ -3,7 +3,10 @@
 Vertices are dense integer ids 0..n-1.  Parallel edges are allowed and are
 tracked by multiplicity; loops are rejected at construction.  Graphs are
 immutable once built, derived views (edge pairs, adjacency, degrees, linked
-half-edge lists) are computed lazily and cached.
+half-edge lists) are computed lazily and cached.  Only this module reads
+the half-edge lists: the connectivity check and the block scan, _scan, which
+the rank engine and blocks.build_bes read.  _divisor_degree is the one check
+of a divisor against a graph.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ class NotCactusError(GraphError):
     """The graph has a block that is neither an edge nor a simple cycle.
 
     The offending edge (one that closes a second cycle through some vertex)
-    is stored in .edge.  Raised by the block scan; defined here, beside the
-    other graph errors, so that catching it loads no other module.
+    is stored in .edge.  Raised by the block scan, _scan.
     """
 
     def __init__(self, edge: tuple[int, int]):
@@ -52,8 +54,13 @@ class Multigraph:
     __slots__ = ("n", "_ends", "_edges", "_adj", "_degrees", "_links", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if not isinstance(n, int) or not 1 <= n <= _MAX_VERTICES:
+        try:
+            count = index(n)
+        except TypeError:
+            count = 0
+        if not 1 <= count <= _MAX_VERTICES:
             raise GraphError(f"vertex count must be an integer in 1..{_MAX_VERTICES}, got {n!r}")
+        n = count
         ends = array("i")
         for e in edges:
             try:
@@ -177,6 +184,98 @@ class Multigraph:
         return f"Multigraph(n={self.n}, m={self.num_edges})"
 
 
+def _scan(g: Multigraph):
+    """One iterative DFS from vertex 0 yielding (kind, vs) for each block in
+    elimination order: kind 0 and vs = (parent, child) for a bridge, kind 1
+    and vs the cycle's vertices in ring order for a cycle, the attachment
+    first.  Raises NotCactusError where an edge closes a second cycle, and
+    DisconnectedGraphError once the scan ends short of some vertex, so a
+    caller that stops early learns neither.
+
+    A visit pushes a marker (-1) and then every unvisited neighbor, the first
+    neighbor in edge order last, so vertices are visited in the order of the
+    recursive DFS; an entry for a vertex visited meanwhile is dropped when it
+    pops.  path holds the vertices being visited, root first above a -1
+    that stands for the root's parent: a vertex's parent is the top of path
+    when it is visited, and its marker pops it off path once its subtree is
+    done.  At a visit, every visited neighbor other than one copy of the
+    parent edge is an ancestor on path, and that back edge closes a cycle
+    with the stretch of path above it.  The cycle claims the stretch's tree
+    edges; an edge claimed twice lies on two cycles.  Tree edges left
+    unclaimed are bridges.
+
+    Each block has a child: the bridge's lower end, or the cycle's vertex
+    after its attachment.  Everything hanging below a block lies in its
+    child's subtree, so yielding each block when its child's marker pops is
+    an elimination order.
+    """
+    n = g.n
+    head, nxt = g._half_edges()
+    ends = g._ends
+    seen = bytearray(n)
+    # 0: the parent edge is a bridge; 1: a cycle claims it; 2: also the
+    # cycle's child, whose cycle waits in cycles.  The root has no parent
+    # edge and yields nothing.
+    claimed = bytearray(n)
+    claimed[0] = 1
+    cycles: dict = {}
+    path = [-1]
+    enter, leave = path.append, path.pop
+    stack = [0]
+    push, pop = stack.append, stack.pop
+    while stack:
+        x = pop()
+        if x < 0:
+            x = leave()
+            c = claimed[x]
+            if not c:
+                yield 0, (path[-1], x)
+            elif c == 2:
+                yield 1, cycles.pop(x)
+            continue
+        if seen[x]:
+            continue
+        seen[x] = 1
+        px = path[-1]
+        enter(x)
+        push(-1)
+        skip_parent = True
+        h = head[x]
+        while h >= 0:
+            y = ends[h ^ 1]
+            h = nxt[h]
+            if not seen[y]:
+                push(y)
+            elif y == px and skip_parent:
+                skip_parent = False
+            else:
+                i = len(path) - 2
+                while path[i] != y:
+                    i -= 1
+                chain = path[i:]
+                for t in chain[1:]:
+                    if claimed[t]:
+                        raise NotCactusError((x, y))
+                    claimed[t] = 1
+                claimed[chain[1]] = 2
+                cycles[chain[1]] = chain
+    reached = n - seen.count(0)
+    if reached != n:
+        raise DisconnectedGraphError(
+            f"graph is disconnected ({reached} of {n} vertices reachable)"
+        )
+
+
+def is_cactus(g: Multigraph) -> bool:
+    """True iff every block of g is an edge or a simple cycle.  O(n + m)."""
+    try:
+        for _ in _scan(g):
+            pass
+    except NotCactusError:
+        return False
+    return True
+
+
 class Divisor(tuple):
     """Integer chip counts, one per vertex.
 
@@ -221,6 +320,13 @@ def degree(f: Sequence[int]) -> int:
         return index(sum(f))
     except TypeError:
         raise GraphError("divisor entries must be integers") from None
+
+
+def _divisor_degree(g: Multigraph, f: Sequence[int]) -> int:
+    """degree(f); GraphError unless f has one integer entry per vertex of g."""
+    if len(f) != g.n:
+        raise GraphError("divisor length mismatch")
+    return degree(f)
 
 
 def is_effective(f: Sequence[int]) -> bool:

@@ -16,7 +16,8 @@ needs a reduction only when v != 0 holds no chip, and that reduction is a
 cached step.  Reducing never fires vertex 0 and never reads its count, so
 the step's outcome depends only on the non-base part and v: the chips it
 moves onto vertex 0 and the new non-base part.  Computed once, it serves
-every chip count on vertex 0.  A step runs the debt-clearing stage alone.
+every chip count on vertex 0.  A step runs the debt-clearing stage,
+_borrow, alone; a full reduction runs the same loop before its burning.
 The non-base part of a 0-reduced form is superstable, so its mirror
 (deg(u) - 1 - vals[u] at each u) is a recurrent sandpile with sink 0;
 taking a chip off v adds a grain there, borrowing is toppling in the
@@ -28,6 +29,7 @@ q_reduce run both stages from scratch.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, NamedTuple, Sequence
 
 from .graph import (
@@ -36,6 +38,7 @@ from .graph import (
     GraphError,
     Multigraph,
     OracleLimitError,
+    _divisor_degree,
     canonical_divisor,
     degree,
     genus,
@@ -53,12 +56,30 @@ class ReducedDivisor(NamedTuple):
         return sum(self.values)
 
 
+def _borrow(adj, deg, vals: list, q: int, debtors) -> None:
+    """The debt-clearing stage, in place: a vertex v != q in debt borrows
+    ceil(-vals[v] / deg(v)) times at once.  debtors lists each one in debt,
+    once; they and each neighbour a borrow pushes into debt wait in a FIFO
+    queue (a stack borrows 15-18 % more often on a long path).  This
+    is toppling in the mirror with sink q: it ends, in the same
+    configuration whatever the order (Dhar 1990)."""
+    queue = deque(debtors)
+    while queue:
+        v = queue.popleft()
+        d = deg[v]
+        k = (d - 1 - vals[v]) // d
+        vals[v] += k * d
+        for u, m in adj[v].items():
+            x = vals[u]
+            vals[u] = x - k * m
+            if u != q and 0 <= x < k * m:
+                queue.append(u)
+
+
 def _reduce_in_place(adj, deg, vals: list, q: int) -> list:
     """Core reduction: returns vals rewritten to the unique q-reduced form.
 
-    Stage 1 clears debt off q by borrowing: a vertex v < 0 borrows
-    ceil(-vals[v] / deg(v)) times at once.  This is sandpile toppling in the
-    mirrored configuration with q as the sink, so it terminates.
+    Stage 1, _borrow, clears every vertex but q of debt.
 
     Stage 2 is Dhar's burning test: start a fire at q, a vertex burns once
     more burnt neighbors point at it than it has chips.  While some set
@@ -68,15 +89,7 @@ def _reduce_in_place(adj, deg, vals: list, q: int) -> list:
     this terminates too.
     """
     n = len(vals)
-    while True:
-        work = [v for v in range(n) if v != q and vals[v] < 0]
-        if not work:
-            break
-        for v in work:
-            k = (-vals[v] + deg[v] - 1) // deg[v]
-            vals[v] += k * deg[v]
-            for u, m in adj[v].items():
-                vals[u] -= k * m
+    _borrow(adj, deg, vals, q, [v for v in range(n) if v != q and vals[v] < 0])
     while True:
         burnt = bytearray(n)
         burnt[q] = 1
@@ -104,28 +117,15 @@ def _reduce_in_place(adj, deg, vals: list, q: int) -> list:
                     vals[u] += t * m
 
 
-def _step(nbrs, deg, rest: tuple, v: int) -> tuple[int, tuple]:
+def _step(adj, deg, rest: tuple, v: int) -> tuple[int, tuple]:
     """One chip off v != 0, which holds none, in a 0-reduced form whose
     entries but vertex 0's are rest: returns (chips moved onto vertex 0, the
-    new entries but vertex 0's).  Only stage 1 of _reduce_in_place runs, on a
-    worklist: a vertex in debt borrows ceil(-vals[v] / deg(v)) times at
-    once, and each neighbour it pushes into debt joins the list.  The result
-    is already reduced (see the module docstring), and vertex 0's count is
-    never read, so it holds for every count there.  nbrs[u] lists u's
-    (neighbour, multiplicity) pairs."""
+    new entries but vertex 0's).  Only stage 1 of _reduce_in_place runs.
+    The result is already reduced (see the module docstring), and vertex 0's
+    count is never read, so it holds for every count there."""
     vals = [0, *rest]
     vals[v] = -1
-    work = [v]
-    while work:
-        v = work.pop()
-        d = deg[v]
-        k = (d - 1 - vals[v]) // d
-        vals[v] += k * d
-        for u, m in nbrs[v]:
-            x = vals[u]
-            vals[u] = x - k * m
-            if u and 0 <= x < k * m:
-                work.append(u)
+    _borrow(adj, deg, vals, 0, (v,))
     return vals[0], tuple(vals[1:])
 
 
@@ -133,9 +133,7 @@ def q_reduce(g: Multigraph, f: Sequence[int], q: int) -> ReducedDivisor:
     """Unique q-reduced divisor linearly equivalent to f.  Idempotent."""
     if not 0 <= q < g.n:
         raise GraphError(f"base vertex {q} out of range")
-    if len(f) != g.n:
-        raise GraphError("divisor length mismatch")
-    degree(f)  # GraphError for a non-integer entry
+    _divisor_degree(g, f)
     if not g.is_connected():
         raise DisconnectedGraphError("q_reduce requires a connected graph")
     vals = _reduce_in_place(g.adjacency, g.degrees, list(f), q)
@@ -177,9 +175,7 @@ def oracle_rank(
         raise OracleLimitError(
             f"graph has {g.n} vertices, oracle guard is {max_vertices}"
         )
-    if len(f) != g.n:
-        raise GraphError("divisor length mismatch")
-    degree(f)  # GraphError for a non-integer entry
+    _divisor_degree(g, f)
     if not g.is_connected():
         raise DisconnectedGraphError("oracle_rank requires a connected graph")
     adj = g.adjacency
@@ -195,7 +191,6 @@ def oracle_rank(
     classes = {}
     # (non-base part, v) -> (chips moved onto 0, new non-base part)
     steps = {}
-    nbrs = [tuple(a.items()) for a in adj]
 
     def record(form: tuple) -> list:
         rec = classes.get(form)
@@ -220,7 +215,7 @@ def oracle_rank(
         else:
             step = steps.get((rest, v))
             if step is None:
-                step = steps[rest, v] = _step(nbrs, deg, rest, v)
+                step = steps[rest, v] = _step(adj, deg, rest, v)
             kid = (chips + step[0], step[1])
         kid = rec[1][v] = record(kid)
         return kid

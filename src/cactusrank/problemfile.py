@@ -33,7 +33,8 @@ from itertools import chain, islice
 from operator import eq
 from typing import BinaryIO, TextIO, Union
 
-from .graph import _MAX_VERTICES, DisconnectedGraphError, Divisor, GraphError, Multigraph
+from .graph import (_MAX_VERTICES, DisconnectedGraphError, Divisor, GraphError, Multigraph,
+                    _divisor_degree)
 
 
 class ParseError(ValueError):
@@ -290,9 +291,9 @@ def _filled(fmt: str, width: int, items):
 
 def _text_runs(g: Multigraph, f):
     """The canonical problem-file text for (g, f) as a stream of strings, so
-    a writer can write each run as it is formatted (cactusrank gen)."""
-    if len(f) != g.n:
-        raise GraphError("divisor length mismatch")
+    a writer can write each run as it is formatted (cactusrank gen).  f is
+    checked first, as %d would truncate a float entry."""
+    _divisor_degree(g, f)
     yield f"n {g.n}\n"
     yield from _filled("e %d %d\n", 2, g._ends)
     yield "d"

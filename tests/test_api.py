@@ -51,7 +51,7 @@ ns = {}
 exec("from cactusrank import *", ns)
 assert set(cr.__all__) <= set(ns) and ns["generate"] is cr.generate
 import cactusrank.blocks, cactusrank.oracle
-assert cactusrank.blocks.NotCactusError is cr.NotCactusError
+assert cactusrank.blocks.Multigraph is cr.Multigraph
 assert cactusrank.oracle.OracleLimitError is cr.OracleLimitError
 assert set(cr.__all__) <= set(dir(cr))
 try:

@@ -283,6 +283,9 @@ def test_cli_call_loads_only_its_command(tmp_path):
         (["rank", path], "0", "cactusrank.engine",
          {"cactusrank.blocks", "cactusrank.oracle", "cactusrank.generator",
           "dataclasses", "inspect"}),
+        (["check", path], "cactus", "cactusrank.graph",
+         {"cactusrank.blocks", "cactusrank.engine", "cactusrank.oracle",
+          "cactusrank.generator"}),
         (["oracle", path], "0", "cactusrank.oracle",
          {"cactusrank.blocks", "cactusrank.engine", "cactusrank.generator",
           "dataclasses", "inspect"}),

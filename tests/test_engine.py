@@ -5,7 +5,8 @@ from array import array
 import pytest
 
 import cactusrank as cr
-from cactusrank.engine import _UNREACHABLE, _funnel, _product, _scan, _split
+from cactusrank.engine import _UNREACHABLE, _funnel, _product, _split
+from cactusrank.graph import _scan
 
 from .helpers import (
     bowtie,

@@ -146,6 +146,18 @@ def test_params_validation():
         cr.GeneratorParams(vertices=3, cycles=4)
 
 
+def test_params_are_read_as_plain_ints():
+    # a non-integer field fails here, naming the field, not deep in generate()
+    for fields, name in (((5.0, 1), "vertices"), ((5, 1.5), "cycles"),
+                         ((5, 1, 8, 0, "0"), "seed")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            cr.GeneratorParams(*fields)
+    np = pytest.importorskip("numpy")
+    params = cr.GeneratorParams(np.int64(5), True, np.int32(4), np.int8(-1), np.uint64(7))
+    assert params == cr.GeneratorParams(5, 1, 4, -1, 7)
+    assert all(type(v) is int for v in vars(params).values())
+
+
 def test_params_refuse_more_vertices_than_a_graph_holds(monkeypatch, capsys):
     # Multigraph and the problem-file parser cap n at 2^31 - 1 (a C int)
     with pytest.raises(ValueError, match=r"vertices must be in 1\.\.2147483647"):

@@ -41,6 +41,18 @@ def test_multigraph_rejects_non_integer_endpoints():
     assert cr.Multigraph(3, [(False, True), (1, 2)]).edges == ((0, 1), (1, 2))
 
 
+def test_multigraph_vertex_count_is_an_index():
+    # read as the endpoints are, and stored as a plain int
+    np = pytest.importorskip("numpy")
+    g = cr.Multigraph(np.int64(3), [(0, 1), (1, 2)])
+    assert type(g.n) is int and g.n == 3 and g.is_connected()
+    g = cr.Multigraph(True, [])
+    assert type(g.n) is int and repr(g) == "Multigraph(n=1, m=0)"
+    for n in (3.0, "3", None, False, 2 ** 31):
+        with pytest.raises(cr.GraphError, match=r"vertex count must be an integer in 1\.\.2147483647"):
+            cr.Multigraph(n, [])
+
+
 def test_multigraph_eq_ignores_edge_orientation_and_order():
     a = cr.Multigraph(3, [(0, 1), (1, 2)])
     b = cr.Multigraph(3, [(2, 1), (0, 1)])

@@ -137,7 +137,8 @@ from decimal import Decimal
 from fractions import Fraction
 import cactusrank as cr
 g = cr.Multigraph(3, [(0, 1), (1, 2), (2, 0)])
-calls = (cr.rank, cr.oracle_rank, cr.is_l_effective, lambda g, f: cr.q_reduce(g, f, 0))
+calls = (cr.rank, cr.oracle_rank, cr.is_l_effective, lambda g, f: cr.q_reduce(g, f, 0),
+         cr.serialize)
 for f in ([2, 0.5, -0.5], [1, Fraction(1, 2), Fraction(-1, 2)], [Decimal(2), 0, 0]):
     for call in calls:
         try:
@@ -152,11 +153,12 @@ def test_non_integer_divisors_are_refused():
     # (0.5 + 1) // 2 = 0.0 times per round, forever; in a child with a
     # timeout such a hang fails the test instead of stalling the run
     out = run_fresh(_NON_INTEGER, timeout=60)
-    assert out.splitlines() == ["divisor entries must be integers"] * 12
+    assert out.splitlines() == ["divisor entries must be integers"] * 15
     # bool and other integer types stay divisor entries
     g = cycle_graph(3)
     assert cr.rank(g, [True, 1, False]).rank == cr.oracle_rank(g, [True, 1, False]) == 1
     assert cr.q_reduce(g, [False, True, True], 0).values == (2, 0, 0)
+    assert cr.serialize(g, [True, 1, False]).endswith("\nd 1 1 0\n")
 
 
 def test_numpy_integer_divisor_entries():
@@ -165,6 +167,7 @@ def test_numpy_integer_divisor_entries():
     f = [np.int64(2), np.int32(0), np.int8(0)]
     assert cr.rank(g, f).rank == cr.oracle_rank(g, f) == 1
     assert cr.q_reduce(g, f, 0).values == (2, 0, 0)
+    assert cr.serialize(g, f).endswith("\nd 2 0 0\n")
 
 
 def random_multigraph(rng: random.Random, n: int) -> cr.Multigraph:
@@ -222,9 +225,9 @@ def test_cached_step_equals_reduction_from_scratch(monkeypatch):
     computed = []
     real = oracle._step
 
-    def spy(nbrs, deg, rest, v):
+    def spy(adj, deg, rest, v):
         computed.append((rest, v))
-        return real(nbrs, deg, rest, v)
+        return real(adj, deg, rest, v)
 
     monkeypatch.setattr(oracle, "_step", spy)
     rng = random.Random(1990)
@@ -243,7 +246,6 @@ def test_cached_step_equals_reduction_from_scratch(monkeypatch):
         # each step computed once: the search reuses it from the cache
         assert len(set(computed)) == len(computed)
         adj, deg = g.adjacency, g.degrees
-        nbrs = [tuple(a.items()) for a in adj]
         # every form the search can expand: within the rank of the root,
         # children reduced from scratch
         level = {tuple(_reduce_in_place(adj, deg, list(f), 0))}
@@ -258,7 +260,7 @@ def test_cached_step_equals_reduction_from_scratch(monkeypatch):
             for v in range(1, g.n):
                 if rest[v - 1]:
                     continue
-                moved, kid = real(nbrs, deg, rest, v)
+                moved, kid = real(adj, deg, rest, v)
                 for chips in (form[0], form[0] - 5):
                     vals = [chips, *rest]
                     vals[v] -= 1
