@@ -108,7 +108,7 @@ _COMMANDS = {
              "per-block decisions to stderr"),
     "oracle": (_cmd_oracle, True, {"--max-n": 12, "--max-r": 8},
                "brute-force rank (small graphs): --max-n guards the vertex "
-               "count, --max-r the rank search"),
+               "count; a rank of --max-r or more is refused"),
     "reduce": (_cmd_reduce, True, {"--base": 0},
                'q-reduced divisor for base vertex q = --base, as a "d" line'),
     "rrcheck": (_cmd_rrcheck, True, {}, "rank duality identity: OK / FAIL"),

@@ -122,15 +122,11 @@ class Multigraph:
         return self._degrees
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise GraphError(f"vertex {v} out of range")
-        return self.degrees[v]
+        return self.degrees[_vertex(self.n, v)]
 
     def multiplicity(self, u: int, v: int) -> int:
         """Number of parallel edges between u and v."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise GraphError(f"vertex pair ({u}, {v}) out of range")
-        return self.adjacency[u].get(v, 0)
+        return self.adjacency[_vertex(self.n, u)].get(_vertex(self.n, v), 0)
 
     def _half_edges(self) -> tuple[array, array]:
         """Adjacency as linked lists of half-edges: (head, nxt).
@@ -333,10 +329,20 @@ def is_effective(f: Sequence[int]) -> bool:
     return all(v >= 0 for v in f)
 
 
+def _vertex(n: int, v: int) -> int:
+    """v as an int; GraphError unless it is an integer in 0..n-1."""
+    try:
+        i = index(v)
+    except TypeError:
+        raise GraphError(f"vertex {v!r} is not an integer") from None
+    if not 0 <= i < n:
+        raise GraphError(f"vertex {i} out of range")
+    return i
+
+
 def index_divisor(n: int, v: int) -> Divisor:
     """The divisor with a single chip at vertex v."""
-    if not 0 <= v < n:
-        raise GraphError(f"vertex {v} out of range")
+    v = _vertex(n, v)
     return Divisor(1 if i == v else 0 for i in range(n))
 
 
@@ -349,10 +355,9 @@ def genus(g: Multigraph) -> int:
 
 def laplacian_row(g: Multigraph, v: int) -> tuple[int, ...]:
     """Row v of the graph Laplacian: degree on the diagonal, minus multiplicity off it."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range")
+    v = _vertex(g.n, v)
     row = [0] * g.n
-    row[v] = g.degree(v)
+    row[v] = g.degrees[v]
     for u, m in g.adjacency[v].items():
         row[u] = -m
     return tuple(row)
@@ -364,9 +369,9 @@ def apply_firing(g: Multigraph, f: Sequence[int], x: Sequence[int]) -> Divisor:
     A vertex v with x(v) = -1 fires (sends one chip down each incident edge);
     x(v) = +1 borrows.  Divisor degree is preserved for every x.
     """
+    _divisor_degree(g, f)
+    _divisor_degree(g, x)
     n = g.n
-    if len(f) != n or len(x) != n:
-        raise GraphError("divisor / firing vector length mismatch")
     out = list(f)
     adj = g.adjacency
     deg = g.degrees

@@ -25,6 +25,16 @@ mirror, and stabilising a recurrent configuration plus one grain gives a
 recurrent one (Dhar 1990).  Its mirror is superstable again, so the form
 is reduced and a burning pass would fire nothing.  The root reduction and
 q_reduce run both stages from scratch.
+
+oracle_rank computes rank(C) = 1 + min over v of rank(C - v), or -1 for a
+class that is not L-effective, once per class C it reaches, capped at the
+depth left: the class of f has cap max_rank, each level down one less.  A
+class has one degree, so it has one cap and one value, min(rank, cap).
+A superstable non-base part holds at most g chips (g the genus), so a
+class of degree >= g is effective and rank(C) >= deg(C) - g (Riemann's
+inequality for graphs, Baker-Norine 2007).  A class stops asking its
+children once the least child rank so far meets that floor for their
+degree, deg(C) - 1, or -1, or their cap.
 """
 
 from __future__ import annotations
@@ -35,10 +45,10 @@ from typing import Callable, NamedTuple, Sequence
 from .graph import (
     Divisor,
     DisconnectedGraphError,
-    GraphError,
     Multigraph,
     OracleLimitError,
     _divisor_degree,
+    _vertex,
     canonical_divisor,
     degree,
     genus,
@@ -131,8 +141,7 @@ def _step(adj, deg, rest: tuple, v: int) -> tuple[int, tuple]:
 
 def q_reduce(g: Multigraph, f: Sequence[int], q: int) -> ReducedDivisor:
     """Unique q-reduced divisor linearly equivalent to f.  Idempotent."""
-    if not 0 <= q < g.n:
-        raise GraphError(f"base vertex {q} out of range")
+    q = _vertex(g.n, q)
     _divisor_degree(g, f)
     if not g.is_connected():
         raise DisconnectedGraphError("q_reduce requires a connected graph")
@@ -160,22 +169,23 @@ def oracle_rank(
     """Rank by definition: the largest r such that f minus ANY effective
     divisor of degree r stays L-effective; -1 if f itself is not.
 
-    Every effective divisor of degree r >= 1 is v + E', so rank(D) >= r iff
-    rank(D - v) >= r - 1 at every vertex v.  Rank is a class invariant, so
-    the search runs over linear-equivalence classes, each named by its
-    0-reduced form, and no class is reduced or decided twice; a child's
-    reduction is a step cached by the non-base part and v (module
-    docstring).  It deepens r = 1, 2, ... from the class of f and stops at
-    the first r it refutes.
+    Every effective divisor of degree r >= 1 is v + E', so
+    rank(C) = 1 + min over v of rank(C - v) for an L-effective class C.
+    Each class, named by its 0-reduced form, has its rank computed once,
+    capped: the class of f at max_rank, each chip off one less.  Its
+    children have rank at least deg(C) - 1 - g, since the superstable
+    non-base part of a 0-reduced form holds at most g chips; a class stops
+    asking them once the least so far meets that floor (module docstring).
+    A child's reduction is a step cached by the non-base part and v.
 
-    Refuses instances with n > max_vertices or a search passing max_rank
+    Refuses instances with n > max_vertices or a rank of max_rank or more
     (OracleLimitError) rather than grinding through an enormous search.
     """
     if g.n > max_vertices:
         raise OracleLimitError(
             f"graph has {g.n} vertices, oracle guard is {max_vertices}"
         )
-    _divisor_degree(g, f)
+    d = _divisor_degree(g, f)
     if not g.is_connected():
         raise DisconnectedGraphError("oracle_rank requires a connected graph")
     adj = g.adjacency
@@ -184,79 +194,56 @@ def oracle_rank(
     vals = _reduce_in_place(adj, deg, list(f), 0)
     if vals[0] < 0:
         return -1
-    # one record per class: [0-reduced form as (chips on 0, non-base part),
-    # the records of its n children form - v (None until needed), largest r
-    # proven, smallest r refuted]; no query passes max_rank, so
-    # max_rank + 1 stands for "not refuted"
-    classes = {}
+    # a class of cap c has degree d - max_rank + c, so its children's ranks
+    # are at least max(c + slack, -1)
+    slack = d - max_rank - 1 - genus(g)
+    # 0-reduced form, as (chips on 0, non-base part) -> min(rank, cap)
+    ranks = {}
     # (non-base part, v) -> (chips moved onto 0, new non-base part)
     steps = {}
 
-    def record(form: tuple) -> list:
-        rec = classes.get(form)
-        if rec is None:
-            if form[0] >= 0:
-                rec = [form, None, 0, max_rank + 1]
-            else:
-                rec = [form, None, -1, 0]
-            classes[form] = rec
-        return rec
-
-    def child(rec: list, v: int) -> list:
+    def child(form: tuple, v: int) -> tuple:
         # a chip off vertex 0, or off a vertex that still has one, leaves
         # the form reduced; only a vertex going into debt needs a step
-        chips, rest = rec[0]
+        chips, rest = form
         if not v:
-            kid = (chips - 1, rest)
-        elif rest[v - 1]:
+            return chips - 1, rest
+        if rest[v - 1]:
             vals = list(rest)
             vals[v - 1] -= 1
-            kid = (chips, tuple(vals))
-        else:
-            step = steps.get((rest, v))
-            if step is None:
-                step = steps[rest, v] = _step(adj, deg, rest, v)
-            kid = (chips + step[0], step[1])
-        kid = rec[1][v] = record(kid)
-        return kid
+            return chips, tuple(vals)
+        step = steps.get((rest, v))
+        if step is None:
+            step = steps[rest, v] = _step(adj, deg, rest, v)
+        return chips + step[0], step[1]
 
-    root = record((vals[0], tuple(vals[1:])))
-    r = 1
+    # depth first; a frame is [form, cap, next v, least child rank so far],
+    # the least starting at the children's cap
+    stack = [[(vals[0], tuple(vals[1:])), max_rank, 0, max_rank - 1]]
     while True:
-        if r > max_rank:
-            raise OracleLimitError(
-                f"rank search passed {max_rank} (raise max_rank to continue)"
-            )
-        # decide rank >= r depth first; a frame is [record, k, next child]
-        # asking whether its class has rank >= k
-        stack = [[root, r, 0]]
-        held = True
-        while stack:
-            top = stack[-1]
-            rec, k, i = top
-            if not held:
-                rec[3] = k
-                stack.pop()
-                continue
-            kids = rec[1]
-            if kids is None:
-                kids = rec[1] = [None] * n
-            while i < n:
-                kid = kids[i] or child(rec, i)
-                if kid[2] < k - 1:
-                    break
-                i += 1
-            if i == n:
-                rec[2] = k
-                stack.pop()
-            elif kid[3] <= k - 1:
-                held = False
+        top = stack[-1]
+        form, cap, v, least = top
+        floor = min(max(cap + slack, -1), cap - 1)
+        while least > floor and v < n:
+            kid = child(form, v)
+            # an L-effective child of cap 0 has rank 0 there
+            rank = -1 if kid[0] < 0 else 0 if cap == 1 else ranks.get(kid)
+            if rank is None:
+                top[2:] = v, least
+                stack.append([kid, cap - 1, 0, cap - 2])
+                break
+            least = min(least, rank)
+            v += 1
+        else:
+            stack.pop()
+            if stack:
+                ranks[form] = least + 1
+            elif least + 1 < max_rank:
+                return least + 1
             else:
-                top[2] = i
-                stack.append([kid, k - 1, 0])
-        if not held:
-            return r - 1
-        r += 1
+                raise OracleLimitError(
+                    f"rank search passed {max_rank} (raise max_rank to continue)"
+                )
 
 
 def rr_check(g: Multigraph, f: Sequence[int], rank_fn: Callable) -> bool:

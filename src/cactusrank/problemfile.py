@@ -262,12 +262,13 @@ def parse_string(text: str, *, check_connected: bool = True):
 
 
 def parse_file(source: Union[str, BinaryIO, TextIO], *, check_connected: bool = True):
-    """Parse a path or an open stream (text or binary).  A path is read a run
-    at a time; a seekable binary stream is read from its current position,
-    any other stream is read whole first."""
+    """Parse a path or an open stream (text or binary).  A path opens as a
+    binary stream.  A seekable binary stream, a regular file's included, is
+    read a run at a time from its current position; any other stream, such
+    as a pipe's, is read whole first."""
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
-            return _parse(fh, check_connected)
+            return parse_file(fh, check_connected=check_connected)
     if isinstance(source.read(0), str):
         return parse_string(source.read(), check_connected=check_connected)
     if not source.seekable():

@@ -267,6 +267,18 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout == "0\n"
 
 
+def test_rank_reads_a_path_naming_a_pipe():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cactusrank", "rank", "/dev/stdin"],
+        env=CHILD_ENV,
+        input="n 3\ne 0 1\ne 1 2\ne 2 0\nd 2 0 0\n",
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
 _LOADED = """
 import sys
 from cactusrank.cli import main

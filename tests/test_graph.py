@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,13 +104,33 @@ def test_vertex_arguments_out_of_range():
                  lambda: cr.laplacian_row(g, 3), lambda: cr.laplacian_row(g, -1)):
         with pytest.raises(cr.GraphError, match="out of range"):
             call()
+    f = [0, 0, 0]
+    for v in (1.5, "1"):
+        for call in (g.degree, lambda v: g.multiplicity(0, v), lambda v: g.multiplicity(v, 0),
+                     lambda v: cr.index_divisor(3, v), lambda v: cr.laplacian_row(g, v),
+                     lambda v: cr.q_reduce(g, f, v)):
+            with pytest.raises(cr.GraphError, match="is not an integer"):
+                call(v)
+    for q in (3, -1):
+        with pytest.raises(cr.GraphError, match="out of range"):
+            cr.q_reduce(g, f, q)
     assert g.degree(2) == 2 and g.multiplicity(0, 1) == 1
+    np = pytest.importorskip("numpy")
+    one = np.int64(1)
+    assert g.degree(one) == 2 and g.multiplicity(0, np.int32(2)) == 1
+    assert cr.index_divisor(3, one) == (0, 1, 0)
+    assert cr.laplacian_row(g, one) == (-1, 2, -1)
+    assert cr.q_reduce(g, [1, 0, 0], one) == ((1, 0, 0), 1)
 
 
 def test_apply_firing_length_mismatch():
     g = cycle_graph(3)
     for f, x in (([0, 0], [0, 0, 0]), ([0, 0, 0], [1, 1]), ([0] * 4, [0] * 4)):
         with pytest.raises(cr.GraphError, match="length mismatch"):
+            cr.apply_firing(g, f, x)
+    for f, x in (([1, 0, 0], [0.5, 0, 0]), ([0.5, 0, 0], [1, 0, 0]),
+                 ([1, 0, 0], [Fraction(1, 2), 0, 0]), ([Fraction(1, 2), 0, 0], [0, 0, 0])):
+        with pytest.raises(cr.GraphError, match="divisor entries must be integers"):
             cr.apply_firing(g, f, x)
 
 

@@ -246,11 +246,12 @@ def test_cached_step_equals_reduction_from_scratch(monkeypatch):
         # each step computed once: the search reuses it from the cache
         assert len(set(computed)) == len(computed)
         adj, deg = g.adjacency, g.degrees
-        # every form the search can expand: within the rank of the root,
-        # children reduced from scratch
+        # every form the search can expand: with max_rank 3 it expands
+        # forms of cap 1 or more, at most 2 levels below the root, each
+        # level's children reduced from scratch
         level = {tuple(_reduce_in_place(adj, deg, list(f), 0))}
         reached = set(level)
-        for _ in range(rank):
+        for _ in range(2):
             level = {tuple(_reduce_in_place(adj, deg, [x - (u == v) for u, x in enumerate(form)], 0))
                      for form in level for v in range(g.n)} - reached
             reached |= level
@@ -274,8 +275,9 @@ def test_cached_step_equals_reduction_from_scratch(monkeypatch):
 def test_oracle_rank_time():
     # the oracle-small benchmark's degree-10 family (rank deg - g = 6), in
     # process.  On a 2-vCPU Xeon VM (CPython 3.11.7) best of 3 measured
-    # 36-57 ms, 0.23-0.37 s without the step cache and 6.5-8.5 s with every
-    # effective divisor enumerated; the bound still fails the enumeration.
+    # 3-5 ms, 43-69 ms with a deepening search, 0.23-0.37 s without the step
+    # cache and 6.5-8.5 s with every effective divisor enumerated; the bound
+    # still fails the enumeration.
     problems = [cr.generate(cr.GeneratorParams(12, 4, 8, 10, s)) for s in range(8)]
     best = math.inf
     for _ in range(3):
@@ -290,6 +292,8 @@ def test_oracle_small_reduction_count(monkeypatch):
     # a work gate beside the timed one: the reductions the 24 oracle-small
     # problems take, counted, so timing noise cannot move it.  22,749 when
     # every child in debt was reduced in full; 8,737 with the step cache
+    # and a deepening search; 889 with one capped rank per class and the
+    # floor rank >= degree - genus
     calls = []
     for name in ("_reduce_in_place", "_step"):
         real = getattr(oracle, name)
@@ -298,7 +302,16 @@ def test_oracle_small_reduction_count(monkeypatch):
         for d in (6, 8, 10):
             g, f = cr.generate(cr.GeneratorParams(12, 4, 8, d, s))
             assert cr.oracle_rank(g, f) == cr.rank(g, f).rank, (s, d)
-    assert len(calls) < 9000, len(calls)
+    assert len(calls) < 1000, len(calls)
+
+
+def test_oracle_high_rank_time():
+    # each class's rank is computed once: rank 3000 takes one pass down the
+    # chain of classes, not one per deepening step (about 6 s that way)
+    t0 = time.perf_counter()
+    assert cr.oracle_rank(cr.Multigraph(1, []), [3000], max_rank=3001) == 3000
+    assert cr.oracle_rank(cr.Multigraph(2, [(0, 1)]), [1500, 1500], max_rank=3001) == 3000
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_oracle_rank_invariant_under_firing():

@@ -1,6 +1,7 @@
 import io
 import os
 import re
+import threading
 
 import pytest
 
@@ -455,6 +456,19 @@ def test_unseekable_streams():
         raw = _Unseekable(data)
         assert not raw.seekable()
         assert from_pipe == cr.parse_file(raw) == cr.parse_string(CANON)
+
+
+def test_path_naming_a_pipe(tmp_path):
+    # a path that opens as an unseekable stream is read whole first
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(CANON,), daemon=True)
+    writer.start()
+    try:
+        assert cr.parse_file(str(path)) == cr.parse_string(CANON)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
