@@ -18,10 +18,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("graph", "Divisor DisconnectedGraphError FiringVector GraphError "
-                  "Multigraph NotCactusError OracleLimitError apply_firing "
-                  "canonical_divisor degree genus index_divisor is_cactus "
-                  "is_effective laplacian_row"),
+        ("graph", "Divisor DisconnectedGraphError GraphError Multigraph "
+                  "NotCactusError OracleLimitError canonical_divisor degree "
+                  "genus is_cactus"),
         ("blocks", "BesStep Block BlockEliminationScheme BlockKind build_bes"),
         ("engine", "RankResult TraceStep rank"),
         ("oracle", "ReducedDivisor is_l_effective oracle_rank q_reduce "

@@ -121,13 +121,6 @@ class Multigraph:
             self._degrees = tuple(deg)
         return self._degrees
 
-    def degree(self, v: int) -> int:
-        return self.degrees[_vertex(self.n, v)]
-
-    def multiplicity(self, u: int, v: int) -> int:
-        """Number of parallel edges between u and v."""
-        return self.adjacency[_vertex(self.n, u)].get(_vertex(self.n, v), 0)
-
     def _half_edges(self) -> tuple[array, array]:
         """Adjacency as linked lists of half-edges: (head, nxt).
 
@@ -285,9 +278,6 @@ class Divisor(tuple):
     def degree(self) -> int:
         return sum(self)
 
-    def is_effective(self) -> bool:
-        return all(v >= 0 for v in self)
-
     def __add__(self, other):
         if len(other) != len(self):
             raise GraphError("divisor length mismatch")
@@ -303,10 +293,6 @@ class Divisor(tuple):
 
     def __repr__(self):
         return f"Divisor{tuple(self)!r}"
-
-
-# firing vectors are any integer sequence of length n, no wrapper type needed
-FiringVector = Sequence[int]
 
 
 def degree(f: Sequence[int]) -> int:
@@ -325,10 +311,6 @@ def _divisor_degree(g: Multigraph, f: Sequence[int]) -> int:
     return degree(f)
 
 
-def is_effective(f: Sequence[int]) -> bool:
-    return all(v >= 0 for v in f)
-
-
 def _vertex(n: int, v: int) -> int:
     """v as an int; GraphError unless it is an integer in 0..n-1."""
     try:
@@ -340,48 +322,11 @@ def _vertex(n: int, v: int) -> int:
     return i
 
 
-def index_divisor(n: int, v: int) -> Divisor:
-    """The divisor with a single chip at vertex v."""
-    v = _vertex(n, v)
-    return Divisor(1 if i == v else 0 for i in range(n))
-
-
 def genus(g: Multigraph) -> int:
     """Cycle rank m - n + 1 of a connected graph."""
     if not g.is_connected():
         raise DisconnectedGraphError("genus is defined for connected graphs")
     return g.num_edges - g.n + 1
-
-
-def laplacian_row(g: Multigraph, v: int) -> tuple[int, ...]:
-    """Row v of the graph Laplacian: degree on the diagonal, minus multiplicity off it."""
-    v = _vertex(g.n, v)
-    row = [0] * g.n
-    row[v] = g.degrees[v]
-    for u, m in g.adjacency[v].items():
-        row[u] = -m
-    return tuple(row)
-
-
-def apply_firing(g: Multigraph, f: Sequence[int], x: Sequence[int]) -> Divisor:
-    """Move chips along a firing vector: returns f + x.L where L is the Laplacian.
-
-    A vertex v with x(v) = -1 fires (sends one chip down each incident edge);
-    x(v) = +1 borrows.  Divisor degree is preserved for every x.
-    """
-    _divisor_degree(g, f)
-    _divisor_degree(g, x)
-    n = g.n
-    out = list(f)
-    adj = g.adjacency
-    deg = g.degrees
-    for v in range(n):
-        xv = x[v]
-        if xv:
-            out[v] += xv * deg[v]
-            for u, m in adj[v].items():
-                out[u] -= xv * m
-    return Divisor(out)
 
 
 def canonical_divisor(g: Multigraph) -> Divisor:

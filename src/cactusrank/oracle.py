@@ -179,12 +179,16 @@ def oracle_rank(
     A child's reduction is a step cached by the non-base part and v.
 
     Refuses instances with n > max_vertices or a rank of max_rank or more
-    (OracleLimitError) rather than grinding through an enormous search.
+    (OracleLimitError) rather than grinding through an enormous search;
+    every rank is at least -1, so a max_rank below 0 refuses every one.
     """
     if g.n > max_vertices:
         raise OracleLimitError(
             f"graph has {g.n} vertices, oracle guard is {max_vertices}"
         )
+    limit = OracleLimitError(f"rank is {max_rank} or more (raise max_rank to continue)")
+    if max_rank < 0:
+        raise limit
     d = _divisor_degree(g, f)
     if not g.is_connected():
         raise DisconnectedGraphError("oracle_rank requires a connected graph")
@@ -241,9 +245,7 @@ def oracle_rank(
             elif least + 1 < max_rank:
                 return least + 1
             else:
-                raise OracleLimitError(
-                    f"rank search passed {max_rank} (raise max_rank to continue)"
-                )
+                raise limit
 
 
 def rr_check(g: Multigraph, f: Sequence[int], rank_fn: Callable) -> bool:

@@ -1,7 +1,8 @@
 """Shared test utilities: deterministic graph builders, corpora, and
 transparent reference implementations: the rank recursion, rank by
-definition, the closed forms on trees and cycles, the per-block operators,
-the block decomposition and the elimination-scheme validator."""
+definition, the chip-firing toolkit, the closed forms on trees and cycles,
+the per-block operators, the block decomposition and the elimination-scheme
+validator."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import cactusrank as cr
 from cactusrank.blocks import Block, BlockEliminationScheme, BlockKind, _blocks
-from cactusrank.graph import Divisor, GraphError, Multigraph
+from cactusrank.graph import Divisor, GraphError, Multigraph, _divisor_degree, _vertex
 from cactusrank.oracle import _reduce_in_place
 
 
@@ -160,10 +161,13 @@ def definition_rank(
     """Rank by definition read literally, the reference for oracle_rank:
     for r = 1, 2, ... subtract every effective divisor of degree r and
     reduce each result from scratch.  Same guards and errors."""
+    limit = cr.OracleLimitError(f"rank is {max_rank} or more (raise max_rank to continue)")
     if g.n > max_vertices:
         raise cr.OracleLimitError(
             f"graph has {g.n} vertices, oracle guard is {max_vertices}"
         )
+    if max_rank < 0:
+        raise limit
     if len(f) != g.n:
         raise cr.GraphError("divisor length mismatch")
     if not g.is_connected():
@@ -178,9 +182,7 @@ def definition_rank(
     r = 1
     while True:
         if r > max_rank:
-            raise cr.OracleLimitError(
-                f"rank search passed {max_rank} (raise max_rank to continue)"
-            )
+            raise limit
         for comb in itertools.combinations_with_replacement(range(g.n), r):
             vals = base[:]
             for v in comb:
@@ -188,6 +190,51 @@ def definition_rank(
             if _reduce_in_place(adj, deg, vals, 0)[0] < 0:
                 return r - 1
         r += 1
+
+
+# The chip-firing toolkit: the tests' tools for invariance under firing and
+# for the vertex-argument checks.
+
+
+def is_effective(f: Sequence[int]) -> bool:
+    return all(v >= 0 for v in f)
+
+
+def index_divisor(n: int, v: int) -> Divisor:
+    """The divisor with a single chip at vertex v."""
+    v = _vertex(n, v)
+    return Divisor(1 if i == v else 0 for i in range(n))
+
+
+def laplacian_row(g: Multigraph, v: int) -> tuple[int, ...]:
+    """Row v of the graph Laplacian: degree on the diagonal, minus multiplicity off it."""
+    v = _vertex(g.n, v)
+    row = [0] * g.n
+    row[v] = g.degrees[v]
+    for u, m in g.adjacency[v].items():
+        row[u] = -m
+    return tuple(row)
+
+
+def apply_firing(g: Multigraph, f: Sequence[int], x: Sequence[int]) -> Divisor:
+    """Move chips along a firing vector: returns f + x.L where L is the Laplacian.
+
+    A vertex v with x(v) = -1 fires (sends one chip down each incident edge);
+    x(v) = +1 borrows.  Divisor degree is preserved for every x.
+    """
+    _divisor_degree(g, f)
+    _divisor_degree(g, x)
+    n = g.n
+    out = list(f)
+    adj = g.adjacency
+    deg = g.degrees
+    for v in range(n):
+        xv = x[v]
+        if xv:
+            out[v] += xv * deg[v]
+            for u, m in adj[v].items():
+                out[u] -= xv * m
+    return Divisor(out)
 
 
 

@@ -7,9 +7,8 @@ import cactusrank as cr
 from .helpers import run_fresh
 
 PUBLIC = {
-    "Divisor", "DisconnectedGraphError", "FiringVector", "GraphError",
-    "Multigraph", "apply_firing", "canonical_divisor", "degree", "genus",
-    "index_divisor", "is_effective", "laplacian_row",
+    "Divisor", "DisconnectedGraphError", "GraphError", "Multigraph",
+    "canonical_divisor", "degree", "genus",
     "BesStep", "Block", "BlockEliminationScheme", "BlockKind",
     "NotCactusError", "build_bes", "is_cactus",
     "RankResult", "TraceStep", "rank",

@@ -187,6 +187,18 @@ def test_exit_code_oracle_guard(tmp_path, capsys):
         assert capsys.readouterr().out == "0\n"
     assert main(["oracle", path, "--max-n=12"]) == 5
     capsys.readouterr()
+    # a rank of exactly --max-r is refused, and the one line says so
+    path = write(tmp_path, "eight.txt", "n 1\nd 8\n")
+    assert main(["oracle", path]) == 5
+    assert capsys.readouterr() == (
+        "", "oracle guard: rank is 8 or more (raise max_rank to continue)\n")
+    # every rank is at least -1, so --max-r -1 refuses even a rank of -1
+    path = write(tmp_path, "minus.txt", "n 2\ne 0 1\nd -1 0\n")
+    assert main(["oracle", path, "--max-r", "-1"]) == 5
+    assert capsys.readouterr() == (
+        "", "oracle guard: rank is -1 or more (raise max_rank to continue)\n")
+    assert main(["oracle", path, "--max-r", "0"]) == 0
+    assert capsys.readouterr().out == "-1\n"
 
 
 def test_rank_trace_goes_to_stderr(tmp_path, capsys):

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 import cactusrank as cr
 
-from .helpers import cycle_graph, k4, path_graph
+from .helpers import (apply_firing, cycle_graph, index_divisor, is_effective, k4,
+                      laplacian_row, path_graph)
 
 
 def test_multigraph_basic():
@@ -83,43 +84,38 @@ def test_divisor_arithmetic():
     assert (a - b) == cr.Divisor([1, -3, 2])
     assert (-a) == cr.Divisor([-1, 2, -3])
     assert a.degree == 2
-    assert not a.is_effective()
-    assert b.is_effective()
+    assert not is_effective(a)
+    assert is_effective(b)
     for op in (a.__add__, a.__sub__):
         with pytest.raises(cr.GraphError, match="divisor length mismatch"):
             op(cr.Divisor([1, 2]))
 
 
 def test_index_divisor():
-    e = cr.index_divisor(4, 2)
+    e = index_divisor(4, 2)
     assert tuple(e) == (0, 0, 1, 0)
     assert e.degree == 1
 
 
 def test_vertex_arguments_out_of_range():
     g = cycle_graph(3)
-    for call in (lambda: g.degree(3), lambda: g.degree(-1),
-                 lambda: g.multiplicity(0, 3), lambda: g.multiplicity(-1, 0),
-                 lambda: cr.index_divisor(3, 3), lambda: cr.index_divisor(3, -1),
-                 lambda: cr.laplacian_row(g, 3), lambda: cr.laplacian_row(g, -1)):
+    for call in (lambda: index_divisor(3, 3), lambda: index_divisor(3, -1),
+                 lambda: laplacian_row(g, 3), lambda: laplacian_row(g, -1)):
         with pytest.raises(cr.GraphError, match="out of range"):
             call()
     f = [0, 0, 0]
     for v in (1.5, "1"):
-        for call in (g.degree, lambda v: g.multiplicity(0, v), lambda v: g.multiplicity(v, 0),
-                     lambda v: cr.index_divisor(3, v), lambda v: cr.laplacian_row(g, v),
+        for call in (lambda v: index_divisor(3, v), lambda v: laplacian_row(g, v),
                      lambda v: cr.q_reduce(g, f, v)):
             with pytest.raises(cr.GraphError, match="is not an integer"):
                 call(v)
     for q in (3, -1):
         with pytest.raises(cr.GraphError, match="out of range"):
             cr.q_reduce(g, f, q)
-    assert g.degree(2) == 2 and g.multiplicity(0, 1) == 1
     np = pytest.importorskip("numpy")
     one = np.int64(1)
-    assert g.degree(one) == 2 and g.multiplicity(0, np.int32(2)) == 1
-    assert cr.index_divisor(3, one) == (0, 1, 0)
-    assert cr.laplacian_row(g, one) == (-1, 2, -1)
+    assert index_divisor(3, one) == (0, 1, 0)
+    assert laplacian_row(g, one) == (-1, 2, -1)
     assert cr.q_reduce(g, [1, 0, 0], one) == ((1, 0, 0), 1)
 
 
@@ -127,11 +123,11 @@ def test_apply_firing_length_mismatch():
     g = cycle_graph(3)
     for f, x in (([0, 0], [0, 0, 0]), ([0, 0, 0], [1, 1]), ([0] * 4, [0] * 4)):
         with pytest.raises(cr.GraphError, match="length mismatch"):
-            cr.apply_firing(g, f, x)
+            apply_firing(g, f, x)
     for f, x in (([1, 0, 0], [0.5, 0, 0]), ([0.5, 0, 0], [1, 0, 0]),
                  ([1, 0, 0], [Fraction(1, 2), 0, 0]), ([Fraction(1, 2), 0, 0], [0, 0, 0])):
         with pytest.raises(cr.GraphError, match="divisor entries must be integers"):
-            cr.apply_firing(g, f, x)
+            apply_firing(g, f, x)
 
 
 def test_multigraph_eq_other_types_and_sizes():
@@ -143,23 +139,23 @@ def test_multigraph_eq_other_types_and_sizes():
 
 def test_laplacian_rows():
     g = cycle_graph(3)
-    assert cr.laplacian_row(g, 0) == (2, -1, -1)
+    assert laplacian_row(g, 0) == (2, -1, -1)
     p = path_graph(3)
-    assert cr.laplacian_row(p, 1) == (-1, 2, -1)
+    assert laplacian_row(p, 1) == (-1, 2, -1)
 
 
 def test_apply_firing_single_vertex_fires():
     # x[v] = -1 sends one chip along each incident edge away from v
     g = cycle_graph(3)
     f = cr.Divisor([1, -2, 1])
-    out = cr.apply_firing(g, f, [-1, 0, 0])
+    out = apply_firing(g, f, [-1, 0, 0])
     assert tuple(out) == (-1, -1, 2)
 
 
 def test_apply_firing_uniform_is_identity():
     g = k4()
     f = cr.Divisor([3, 0, -1, 2])
-    assert cr.apply_firing(g, f, [5, 5, 5, 5]) == f
+    assert apply_firing(g, f, [5, 5, 5, 5]) == f
 
 
 def test_canonical_divisor():
@@ -190,4 +186,4 @@ def test_firing_preserves_degree(data):
     n, edges, fvals, x = data
     g = cr.Multigraph(n, edges)
     f = cr.Divisor(fvals)
-    assert cr.apply_firing(g, f, x).degree == f.degree
+    assert apply_firing(g, f, x).degree == f.degree

@@ -12,8 +12,10 @@ from cactusrank.cli import main
 from cactusrank.oracle import _reduce_in_place
 
 from .helpers import (
+    apply_firing,
     cycle_graph,
     definition_rank,
+    is_effective,
     k4,
     path_graph,
     random_cactus,
@@ -67,7 +69,7 @@ def test_q_reduce_large_chip_counts():
 def test_q_reduce_invariant_under_firing():
     g = cycle_graph(4)
     f = cr.Divisor([2, -1, 0, 1])
-    moved = cr.apply_firing(g, f, [1, 0, -2, 1])
+    moved = apply_firing(g, f, [1, 0, -2, 1])
     assert cr.q_reduce(g, moved, 2) == cr.q_reduce(g, f, 2)
 
 
@@ -86,9 +88,9 @@ def test_is_l_effective_with_explicit_witness():
     f = cr.Divisor([-1, 1, 1])
     assert cr.is_l_effective(g, f)
     # the witness: vertices 1 and 2 each fire once
-    moved = cr.apply_firing(g, f, [0, -1, -1])
+    moved = apply_firing(g, f, [0, -1, -1])
     assert tuple(moved) == (1, 0, 0)
-    assert moved.is_effective()
+    assert is_effective(moved)
 
 
 def test_is_l_effective_negative_case():
@@ -123,6 +125,16 @@ def test_oracle_rank_guards():
         cr.oracle_rank(cr.Multigraph(1, []), [20])
     # guards are tunable; certifying rank r needs the search to reach r + 1
     assert cr.oracle_rank(cr.Multigraph(1, []), [20], max_rank=21) == 20
+    # a rank of exactly max_rank is refused, and the message says so
+    with pytest.raises(cr.OracleLimitError,
+                       match=r"^rank is 8 or more \(raise max_rank to continue\)$"):
+        cr.oracle_rank(cr.Multigraph(1, []), [8])
+    assert cr.oracle_rank(cr.Multigraph(1, []), [8], max_rank=9) == 8
+    # every rank is at least -1, so a max_rank below 0 refuses every one
+    for f, max_rank in (([-1, 0], -1), ([0, 0], -1), ([3, 1], -1), ([-5, 0], -3)):
+        with pytest.raises(cr.OracleLimitError, match=f"^rank is {max_rank} or more "):
+            cr.oracle_rank(path_graph(2), f, max_rank=max_rank)
+    assert cr.oracle_rank(path_graph(2), [-1, 0], max_rank=0) == -1
 
 
 def test_oracle_rank_argument_errors():
@@ -182,24 +194,24 @@ def random_multigraph(rng: random.Random, n: int) -> cr.Multigraph:
 def outcome(rank_fn, g, f, max_rank):
     try:
         return rank_fn(g, f, max_rank=max_rank)
-    except cr.OracleLimitError:
-        return "limit"
+    except cr.OracleLimitError as e:
+        return str(e)
 
 
 def test_oracle_matches_definition():
     # the class search against the enumeration of every effective divisor,
-    # guard trips included
+    # guard trips and their messages included
     rng = random.Random(2007)
     limits = 0
     for i in range(300):
         n = rng.randint(1, 8)
         g = random_cactus(rng, max_n=n) if i % 3 == 0 else random_multigraph(rng, n)
         f = random_divisor(rng, g.n, lo=-2, hi=5, max_deg=rng.randint(-1, 12))
-        for max_rank in (0, 3, 8):
+        for max_rank in (-1, 0, 3, 8):
             want = outcome(definition_rank, g, f, max_rank)
             assert outcome(cr.oracle_rank, g, f, max_rank) == want, (
                 g.n, g.edges, tuple(f), max_rank)
-            limits += want == "limit"
+            limits += isinstance(want, str)
     assert limits > 0
 
 
@@ -317,7 +329,7 @@ def test_oracle_high_rank_time():
 def test_oracle_rank_invariant_under_firing():
     g = k4()
     f = cr.Divisor([2, 0, 0, 0])
-    moved = cr.apply_firing(g, f, [-1, 0, 1, 0])
+    moved = apply_firing(g, f, [-1, 0, 1, 0])
     assert cr.oracle_rank(g, moved) == cr.oracle_rank(g, f)
 
 
@@ -335,4 +347,4 @@ def test_reduced_form_unique_within_class(seed, k):
     g = cycle_graph(k)
     f = [rng.randint(-3, 3) for _ in range(k)]
     x = [rng.randint(-2, 2) for _ in range(k)]
-    assert cr.q_reduce(g, cr.apply_firing(g, f, x), 0) == cr.q_reduce(g, f, 0)
+    assert cr.q_reduce(g, apply_firing(g, f, x), 0) == cr.q_reduce(g, f, 0)

@@ -32,7 +32,7 @@ def test_parse_triangle_example():
 
 def test_parse_double_edge():
     g, _ = cr.parse_string("n 2\ne 0 1\ne 0 1\nd 0 0\n")
-    assert g.multiplicity(0, 1) == 2
+    assert g.adjacency[0].get(1, 0) == 2
 
 
 def test_comments_and_blank_lines_ignored():
