@@ -2,10 +2,11 @@
 
 A cactus is a connected graph in which every block (maximal subgraph with no
 cut vertex) is a single edge or a simple cycle.  The block scan, graph._scan,
-yields the blocks in an order that is already a valid elimination scheme:
-each block is contracted into its attachment vertex only after everything
-hanging below it is gone.  build_bes records that stream; the rank engine
-reads the scan itself.  The tests check build_bes against a scheme
+checks the whole graph and then yields the blocks in reverse discovery order
+of a spanning tree grown in edge order, which is already a valid elimination
+scheme: each block is contracted into its attachment vertex only after
+everything hanging below it is gone.  build_bes records that stream; the
+rank engine reads the scan itself.  The tests check build_bes against a scheme
 validator of their own, in tests/helpers.py.
 """
 

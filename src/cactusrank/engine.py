@@ -188,8 +188,9 @@ def _no_charge(g: Multigraph, f: Sequence[int], sign: int, d: int, cycles: int):
     """The no-charge test over f (sign 1) or K - f (sign -1), of degree d:
     the rank max(d - L(0), -1) if the all-skip path loses L(0) >= d chips,
     else None.  It stops at the (d + 1)-th bad cycle, the rank being -1, and
-    gives up past cycles - d good ones, as L(0) < d then.  A test that closes
-    drains the scan, which raises unless g is a connected cactus."""
+    gives up past cycles - d good ones, as L(0) < d then.  The scan checks
+    the whole graph before the test reads a block, so a test that closes
+    has raised unless g is a connected cactus."""
     if d > cycles:
         return None
     blocks = _scan(g)
@@ -203,8 +204,6 @@ def _no_charge(g: Multigraph, f: Sequence[int], sign: int, d: int, cycles: int):
             spare -= 1
             if spare < 0:
                 return None
-    for _ in blocks:
-        pass
     return max(d - bad, -1)
 
 

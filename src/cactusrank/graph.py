@@ -3,10 +3,11 @@
 Vertices are dense integer ids 0..n-1.  Parallel edges are allowed and are
 tracked by multiplicity; loops are rejected at construction.  Graphs are
 immutable once built, derived views (edge pairs, adjacency, degrees, linked
-half-edge lists) are computed lazily and cached.  Only this module reads
-the half-edge lists: the connectivity check and the block scan, _scan, which
-the rank engine and blocks.build_bes read.  _divisor_degree is the one check
-of a divisor against a graph.
+half-edge lists) are computed lazily and cached.  The block scan, _scan,
+which the rank engine and blocks.build_bes read, grows a spanning tree in
+stored edge order and builds no adjacency unless the edges are not in grown
+order; only it and the connectivity check read the half-edge lists.
+_divisor_degree is the one check of a divisor against a graph.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ class DisconnectedGraphError(GraphError):
 class NotCactusError(GraphError):
     """The graph has a block that is neither an edge nor a simple cycle.
 
-    The offending edge (one that closes a second cycle through some vertex)
-    is stored in .edge.  Raised by the block scan, _scan.
+    The offending edge, as stored (one that closes a second cycle through
+    some tree edge), is in .edge.  Raised by the block scan, _scan.
     """
 
     def __init__(self, edge: tuple[int, int]):
@@ -129,7 +130,8 @@ class Multigraph:
         the next half-edge leaving the same vertex, or -1, and head[v] is v's
         first one, or -1.  A vertex's list runs from its last edge to its
         first.  One pass over the endpoints builds it; the connectivity check
-        and the block scan share it.
+        reads it, and the block scan does once it meets an edge with neither
+        end reached.
         """
         if self._links is None:
             ends = self._ends
@@ -173,93 +175,144 @@ class Multigraph:
         return f"Multigraph(n={self.n}, m={self.num_edges})"
 
 
+def _close(idx, parent, claimed, e: int, u: int, v: int) -> None:
+    """Claim the tree edges of the cycle that edge e = (u, v) closes, and
+    store -2 - e in its key's parent; see _scan."""
+    x, y = u, v
+    ix, iy = idx[x], idx[y]
+    bx = by = -1  # the last vertex each end stepped from
+    while x != y:
+        if ix > iy:
+            if claimed[x]:
+                raise NotCactusError((u, v))
+            claimed[x] = 1
+            bx = x
+            x = parent[x]
+            ix = idx[x]
+        else:
+            if claimed[y]:
+                raise NotCactusError((u, v))
+            claimed[y] = 1
+            by = y
+            y = parent[y]
+            iy = idx[y]
+    if bx < 0 or 0 <= by and idx[by] < idx[bx]:
+        bx = by
+    parent[bx] = -2 - e
+
+
 def _scan(g: Multigraph):
-    """One iterative DFS from vertex 0 yielding (kind, vs) for each block in
-    elimination order: kind 0 and vs = (parent, child) for a bridge, kind 1
-    and vs the cycle's vertices in ring order for a cycle, the attachment
-    first.  Raises NotCactusError where an edge closes a second cycle, and
-    DisconnectedGraphError once the scan ends short of some vertex, so a
-    caller that stops early learns neither.
+    """Check that g is a connected cactus and return a generator of
+    (kind, vs) for each block in elimination order: kind 0 and vs =
+    (parent, child) for a bridge, kind 1 and vs the cycle's vertices in ring
+    order for a cycle, the attachment first.  Raises NotCactusError, naming
+    as stored an edge that closes a second cycle through some tree edge, or
+    DisconnectedGraphError, before it returns.
 
-    A visit pushes a marker (-1) and then every unvisited neighbor, the first
-    neighbor in edge order last, so vertices are visited in the order of the
-    recursive DFS; an entry for a vertex visited meanwhile is dropped when it
-    pops.  path holds the vertices being visited, root first above a -1
-    that stands for the root's parent: a vertex's parent is the top of path
-    when it is visited, and its marker pops it off path once its subtree is
-    done.  At a visit, every visited neighbor other than one copy of the
-    parent edge is an ancestor on path, and that back edge closes a cycle
-    with the stretch of path above it.  The cycle claims the stretch's tree
-    edges; an edge claimed twice lies on two cycles.  Tree edges left
-    unclaimed are bridges.
+    The first pass grows a spanning tree from vertex 0 in stored edge order.
+    The cycles of a cactus are exactly the fundamental cycles of any of its
+    spanning trees, and a connected graph whose fundamental cycles are
+    pairwise edge-disjoint is a cactus (Paton, CACM 1969).  An edge with one
+    end reached is a tree edge and numbers the other end; one with both ends
+    reached closes a cycle.  Its ends walk up the tree, the one with the
+    larger number first (a parent is numbered before its child), until they
+    meet at the attachment a, and each step claims a tree edge; one claimed
+    twice lies on two cycles.  The cycle's key is the first numbered of the
+    one or two vertices just below a, and parent[key] becomes -2 - e for the
+    closing edge e: no later read needs the parent of a claimed vertex, as a
+    walk raises at one before it steps past.  An edge with neither end
+    reached means the edges are not in grown order (generate's output and
+    the tests' random cacti always are): the loop stops there, and the rest
+    of the tree grows over the half-edge lists from every vertex reached so
+    far, one done flag per edge, the edges before that one already done.
 
-    Each block has a child: the bridge's lower end, or the cycle's vertex
-    after its attachment.  Everything hanging below a block lies in its
-    child's subtree, so yielding each block when its child's marker pops is
-    an elimination order.
+    The second pass, _unwind, reads the vertices in reverse discovery order.
     """
     n = g.n
-    head, nxt = g._half_edges()
     ends = g._ends
-    seen = bytearray(n)
-    # 0: the parent edge is a bridge; 1: a cycle claims it; 2: also the
-    # cycle's child, whose cycle waits in cycles.  The root has no parent
-    # edge and yields nothing.
+    idx = array("i", [-1]) * n  # discovery number, -1 while unreached
+    parent = array("i", [-1]) * n
+    order = array("i", [0]) * (n - 1)  # the vertices in discovery order, root left out
     claimed = bytearray(n)
-    claimed[0] = 1
-    cycles: dict = {}
-    path = [-1]
-    enter, leave = path.append, path.pop
-    stack = [0]
-    push, pop = stack.append, stack.pop
-    while stack:
-        x = pop()
-        if x < 0:
-            x = leave()
-            c = claimed[x]
-            if not c:
-                yield 0, (path[-1], x)
-            elif c == 2:
-                yield 1, cycles.pop(x)
+    idx[0] = 0
+    reached = 1
+    it = iter(ends)
+    for e, (u, v) in enumerate(zip(it, it)):
+        if idx[u] < 0:
+            if idx[v] < 0:
+                break
+            u, v = v, u
+        elif idx[v] >= 0:
+            _close(idx, parent, claimed, e, u, v)
             continue
-        if seen[x]:
-            continue
-        seen[x] = 1
-        px = path[-1]
-        enter(x)
-        push(-1)
-        skip_parent = True
-        h = head[x]
-        while h >= 0:
-            y = ends[h ^ 1]
-            h = nxt[h]
-            if not seen[y]:
-                push(y)
-            elif y == px and skip_parent:
-                skip_parent = False
-            else:
-                i = len(path) - 2
-                while path[i] != y:
-                    i -= 1
-                chain = path[i:]
-                for t in chain[1:]:
-                    if claimed[t]:
-                        raise NotCactusError((x, y))
-                    claimed[t] = 1
-                claimed[chain[1]] = 2
-                cycles[chain[1]] = chain
-    reached = n - seen.count(0)
+        idx[v] = reached
+        parent[v] = u
+        order[reached - 1] = v
+        reached += 1
+    else:
+        e = -1  # every edge came up with an end reached
+    if e >= 0:  # edge e came up with neither end reached
+        head, nxt = g._half_edges()
+        done = bytearray(len(ends) >> 1)
+        done[:e] = b"\1" * e
+        stack = [0, *order[:reached - 1]]
+        push, pop = stack.append, stack.pop
+        while stack:
+            x = pop()
+            h = head[x]
+            while h >= 0:
+                e = h >> 1
+                if not done[e]:
+                    done[e] = 1
+                    y = ends[h ^ 1]
+                    if idx[y] < 0:
+                        idx[y] = reached
+                        parent[y] = x
+                        order[reached - 1] = y
+                        reached += 1
+                        push(y)
+                    else:
+                        _close(idx, parent, claimed, e, ends[h & -2], ends[h | 1])
+                h = nxt[h]
     if reached != n:
         raise DisconnectedGraphError(
             f"graph is disconnected ({reached} of {n} vertices reachable)"
         )
+    return _unwind(ends, idx, parent, order, claimed)
+
+
+def _unwind(ends, idx, parent, order, claimed):
+    """The second pass of _scan: the vertices in reverse discovery order.  An
+    unclaimed vertex yields its bridge, a key its cycle, rebuilt from the
+    closing edge by walking each end up while its number is larger than the
+    key's; one walk stops at the key, the other at the attachment a.  Every
+    block hanging below a cycle, and every other vertex of the cycle, is
+    reached after its key, so this is an elimination order."""
+    for x in reversed(order):
+        p = parent[x]
+        if not claimed[x]:
+            yield 0, (p, x)
+        elif p < -1:
+            key = idx[x]
+            e = -2 - p
+            u, v = ends[e << 1], ends[e << 1 | 1]
+            up, vp = [], []
+            while idx[u] > key:
+                up.append(u)
+                u = parent[u]
+            while idx[v] > key:
+                vp.append(v)
+                v = parent[v]
+            if u != x:
+                u, v, up, vp = v, u, vp, up
+            yield 1, [v, x, *reversed(up), *vp]
 
 
 def is_cactus(g: Multigraph) -> bool:
-    """True iff every block of g is an edge or a simple cycle.  O(n + m)."""
+    """True iff every block of g is an edge or a simple cycle.  O(n + m).
+    DisconnectedGraphError if g is not connected."""
     try:
-        for _ in _scan(g):
-            pass
+        _scan(g)
     except NotCactusError:
         return False
     return True

@@ -226,7 +226,8 @@ def test_band_quarters_linear_time(tmp_path):
     # criterion 6's family at 2^20 at 1/4 and 3/4 of the band (0, 2g - 2):
     # the no-charge test over f closes the first and the one over K - f the
     # second, so neither runs the path DP, which took 131 and 149 s.  On a
-    # 2-vCPU Xeon VM (CPython 3.11.7) the CLI call measured 2.9-3.6 s.
+    # 2-vCPU Xeon VM (CPython 3.11.7) the CLI call measured 2.9-3.6 s with a
+    # depth-first block scan, and 1.6 s with the edge-order scan.
     n = 2 ** 20
     cycles = n // 8
     times = {}
@@ -283,6 +284,35 @@ def test_rank_peak_rss(tmp_path):
     for name, variant in (("CRLF line ends", crlf), ("a comment first", commented)):
         peak = cli_peak_rss_mb("rank", str(variant))
         assert peak < 52, f"peak RSS {peak:.1f} MB with {name}"
+
+
+def test_shuffled_edges_at_scale(tmp_path):
+    # criterion 6's 2^20 file with its edge lines in a seeded shuffle.  The
+    # block scan meets an edge with neither end reached at once and grows
+    # its tree over half-edge lists, holding them beside the tree arrays; on
+    # a 2-vCPU Xeon VM (CPython 3.11.7) the CLI call measured 2.0 s at a
+    # 59 MB peak, against 1.0 s and 47 MB with the edges in grown order
+    n = 2 ** 20
+    cycles = n // 8
+    g, f = cr.generate(cr.GeneratorParams(
+        vertices=n, cycles=cycles, max_cycle_len=8, divisor_degree=2 * cycles - 2, seed=101))
+    want = cr.rank(g, f).rank
+    head, *edges, divisor = cr.serialize(g, f).splitlines(keepends=True)
+    del g, f
+    random.Random(20).shuffle(edges)
+    path = tmp_path / "shuffled_20.txt"
+    path.write_text(head + "".join(edges) + divisor)
+    del edges
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "cactusrank", "rank", str(path)],
+                          env=CHILD_ENV, capture_output=True, text=True)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == want
+    assert elapsed < 5.0, f"{elapsed:.2f} s"
+    peak = cli_peak_rss_mb("rank", str(path))
+    assert peak < 64, f"peak RSS {peak:.1f} MB"
+    print(f"shuffled edges PASS: {elapsed:.2f} s at a {peak:.1f} MB peak at 2^20")
 
 
 def test_midband_polynomial_time():

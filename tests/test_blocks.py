@@ -6,6 +6,7 @@ import cactusrank as cr
 from cactusrank import Block, BesStep, BlockEliminationScheme, BlockKind
 
 from .helpers import (
+    _block_edges,
     block_decomposition,
     bowtie,
     cycle_graph,
@@ -232,3 +233,55 @@ def test_step_count_matches_block_count():
     for _ in range(80):
         g = random_cactus(rng)
         assert len(cr.build_bes(g).steps) == len(block_decomposition(g).blocks)
+
+
+def _block_set(blocks):
+    return sorted((b.kind.value, sorted(_block_edges(*b))) for b in blocks)
+
+
+def _orders(rng, g):
+    """g's edges in stored, shuffled and reversed order, each edge's ends
+    swapped at random."""
+    edges = list(g.edges)
+    shuffled = rng.sample(edges, len(edges))
+    for es in (edges, shuffled, edges[::-1]):
+        yield cr.Multigraph(g.n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in es])
+
+
+def test_scan_agrees_over_edge_orders():
+    # random_cactus and generate write their edges in grown order, where each
+    # edge has an end reached before it.  Shuffled or reversed, the scan
+    # meets an edge with neither end reached and grows the rest of its tree
+    # over the half-edge lists; the blocks, the scheme's validity and the
+    # ranks must not change
+    rng = random.Random(2710)
+    grown_late = 0
+    for _ in range(300):
+        g = random_cactus(rng, max_n=40, max_genus=12, max_cycle_len=rng.choice((2, 3, 6)))
+        want = _block_set(block_decomposition(g).blocks)
+        gn = cr.genus(g)
+        divisors = []
+        for deg in (-1, 0, gn - 1, 2 * gn - 2):
+            f = [rng.randint(-2, 3) for _ in range(g.n)]
+            while sum(f) != deg:
+                f[rng.randrange(g.n)] += 1 if sum(f) < deg else -1
+            divisors.append(f)
+        ranks = [cr.rank(g, f).rank for f in divisors]
+        for h in _orders(rng, g):
+            assert _block_set(block_decomposition(h).blocks) == want, h.edges
+            assert validate_bes(h, cr.build_bes(h)), h.edges
+            assert [cr.rank(h, f).rank for f in divisors] == ranks, h.edges
+            grown_late += h._links is not None
+    assert grown_late >= 450, grown_late
+    not_connected_cacti = (
+        (cr.NotCactusError, k4()),
+        (cr.NotCactusError, cr.Multigraph(2, [(0, 1)] * 3)),
+        (cr.DisconnectedGraphError, cr.Multigraph(10, [
+            (0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0),
+            (5, 6), (6, 7), (7, 5), (5, 8), (8, 9), (9, 5)])),
+    )
+    for error, g in not_connected_cacti:
+        for _ in range(20):
+            for h in _orders(rng, g):
+                with pytest.raises(error):
+                    cr.build_bes(h)

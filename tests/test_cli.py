@@ -161,7 +161,7 @@ def test_exit_codes_at_every_degree(tmp_path, capsys):
     # connected cactus do not depend on the divisor's degree or on --trace
     cases = (
         ("n 4\ne 0 1\ne 1 2\ne 2 0\ne 0 3\ne 0 3\ne 0 3\nd {}\n", 4,
-         "not a cactus: edge (3, 0) lies on a second cycle\n"),
+         "not a cactus: edge (0, 3) lies on a second cycle\n"),
         ("n 10\ne 0 1\ne 1 2\ne 2 0\ne 0 3\ne 3 4\ne 4 0\n"
          "e 5 6\ne 6 7\ne 7 5\ne 5 8\ne 8 9\ne 9 5\nd {}\n", 3,
          "invalid graph: graph is disconnected (5 of 10 vertices reachable)\n"),

@@ -239,7 +239,7 @@ def test_trace_digest_pinned():
     # breaks ties shows here even when every rank holds, and so does one to
     # which no-charge test closes a degree outside the band (0, 2g - 2)
     assert trace_digest(71, 600) == (
-        "87a3db470e04d17231df86c0d764a614eaa4283028651fba67921fcadb1db70a")
+        "c8b9b288ea59f27d916757e24a76a83b1fe287dfb877b5068c3f31bebff59ae7")
 
 
 def test_rank_witness_from_trace():
@@ -473,8 +473,9 @@ class _CountedReads(list):
 
 def test_degree_0_and_mirror_stop_at_the_first_bad_cycle():
     # at degree 0 and 2g - 2 the no-charge test reads f (or K - f) only up
-    # to the first bad cycle and then drains the scan, which keeps the 2^20
-    # mirror call to the parse and the scan; a pass over every block would
+    # to the first bad cycle; the scan has checked the whole graph before
+    # the first block, which keeps the 2^20 mirror call to the parse, the
+    # scan's tree and a few blocks; a pass over every block would
     # read f once per vertex.  At g - 1 neither test can close, and each
     # gives up at its second good cycle: the path DP's one read per vertex
     # and a little more, where two full tests would read f about 3n times
