@@ -18,10 +18,11 @@ on the block:
                 Both branches must be evaluated; taking the +1 branch alone
                 overshoots on some inputs (see the regression tests).
 
-Every pass below reads one funnel over the scan: it moves each block's
-chips onto the attachment and gives each cycle the positional residue
-sum(pos * w) mod k of the chips w that reach its positions, which vanishes
-exactly when the cycle is good (see _funnel).  Flattening the nested min gives
+rank scans once, growing one spanning tree, and every pass below reads one
+funnel over that scan from its start: it moves each block's chips onto the
+attachment and gives each cycle the positional residue sum(pos * w) mod k
+of the chips w that reach its positions, which vanishes exactly when the
+cycle is good (see _funnel).  Flattening the nested min gives
 
     rank = min over charge/skip paths of max(D - L + c, c - 1)
 
@@ -184,16 +185,14 @@ def _funnel(blocks, f: Sequence[int], sign: int, pay: int = 0):
         yield kind, vs, res
 
 
-def _no_charge(g: Multigraph, f: Sequence[int], sign: int, d: int, cycles: int):
-    """The no-charge test over f (sign 1) or K - f (sign -1), of degree d:
-    the rank max(d - L(0), -1) if the all-skip path loses L(0) >= d chips,
-    else None.  It stops at the (d + 1)-th bad cycle, the rank being -1, and
-    gives up past cycles - d good ones, as L(0) < d then.  The scan checks
-    the whole graph before the test reads a block, so a test that closes
-    has raised unless g is a connected cactus."""
+def _no_charge(blocks, f: Sequence[int], sign: int, d: int, cycles: int):
+    """The no-charge test over f (sign 1) or K - f (sign -1), of degree d,
+    reading blocks, rank's one scan, from the start: the rank
+    max(d - L(0), -1) if the all-skip path loses L(0) >= d chips, else None.
+    It stops at the (d + 1)-th bad cycle, the rank being -1, and gives up
+    past cycles - d good ones, as L(0) < d then."""
     if d > cycles:
         return None
-    blocks = _scan(g)
     bad, spare = 0, cycles - d  # spare: the good cycles it can still meet
     for kind, _, res in _funnel(blocks, f, sign, 1) if d >= 0 else ():
         if res:
@@ -217,12 +216,13 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
     path; elsewhere a no-charge test closes and the trace is its base record.
     """
     deg = _divisor_degree(g, f)
-    cycles = g.num_edges - g.n + 1  # on a connected cactus, as the scan checks
+    blocks = _scan(g)  # raises unless g is a connected cactus
+    cycles = g.num_edges - g.n + 1
     top = 2 * cycles - 2
     if not (trace and 0 < deg < top):
         for sign, d, shift, regime in ((1, deg, 0, "no-charge"),
                                        (-1, top - deg, deg - cycles + 1, "mirror")):
-            r = _no_charge(g, f, sign, d, cycles)
+            r = _no_charge(blocks, f, sign, d, cycles)
             if r is not None:
                 return RankResult(r + shift, (TraceStep(0, "base", 0, None, 0, deg, regime),)
                                   if trace else None)
@@ -236,7 +236,7 @@ def rank(g: Multigraph, f: Sequence[int], *, trace: bool = False) -> RankResult:
     best: dict = {}
     take = best.pop
     log = [] if trace else None
-    for kind, vs, res in _funnel(_scan(g), f, 1):  # from the root, vertex 0
+    for kind, vs, res in _funnel(blocks, f, 1):  # from the root, vertex 0
         a = vs[0]
         folds = states = None
         if kind == 0:

@@ -2,11 +2,11 @@
 
 Vertices are dense integer ids 0..n-1.  Parallel edges are allowed and are
 tracked by multiplicity; loops are rejected at construction.  Graphs are
-immutable once built, derived views (edge pairs, adjacency, degrees, linked
-half-edge lists) are computed lazily and cached.  The block scan, _scan,
-which the rank engine and blocks.build_bes read, grows a spanning tree in
-stored edge order and builds no adjacency unless the edges are not in grown
-order; only it and the connectivity check read the half-edge lists.
+immutable once built, derived views (edge pairs, adjacency, degrees) are
+computed lazily and cached.  One traversal, _tree, grows a spanning tree
+from vertex 0 in stored edge order and builds no adjacency unless the edges
+are not in grown order; it serves both the connectivity check and the block
+scan, _scan, which the rank engine and blocks.build_bes read.
 _divisor_degree is the one check of a divisor against a graph.
 """
 
@@ -52,7 +52,7 @@ class Multigraph:
     the other derived structures are built on first use and cached.
     """
 
-    __slots__ = ("n", "_ends", "_edges", "_adj", "_degrees", "_links", "_connected")
+    __slots__ = ("n", "_ends", "_edges", "_adj", "_degrees", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         try:
@@ -79,7 +79,6 @@ class Multigraph:
         self._edges = None
         self._adj = None
         self._degrees = None
-        self._links = None
         self._connected = None
 
     @classmethod
@@ -122,45 +121,9 @@ class Multigraph:
             self._degrees = tuple(deg)
         return self._degrees
 
-    def _half_edges(self) -> tuple[array, array]:
-        """Adjacency as linked lists of half-edges: (head, nxt).
-
-        Edge i has half-edges 2i, leaving ends[2i], and 2i+1, leaving
-        ends[2i+1], so half-edge h leads to vertex ends[h ^ 1].  nxt[h] is
-        the next half-edge leaving the same vertex, or -1, and head[v] is v's
-        first one, or -1.  A vertex's list runs from its last edge to its
-        first.  One pass over the endpoints builds it; the connectivity check
-        reads it, and the block scan does once it meets an edge with neither
-        end reached.
-        """
-        if self._links is None:
-            ends = self._ends
-            nxt = array("i", [0]) * len(ends)
-            head = array("i", [-1]) * self.n
-            for h, v in enumerate(ends):
-                nxt[h] = head[v]
-                head[v] = h
-            self._links = (head, nxt)
-        return self._links
-
     def is_connected(self) -> bool:
         if self._connected is None:
-            head, nxt = self._half_edges()
-            ends = self._ends
-            seen = bytearray(self.n)
-            seen[0] = 1
-            stack = [0]
-            reached = 1
-            while stack:
-                h = head[stack.pop()]
-                while h >= 0:
-                    y = ends[h ^ 1]
-                    if not seen[y]:
-                        seen[y] = 1
-                        reached += 1
-                        stack.append(y)
-                    h = nxt[h]
-            self._connected = reached == self.n
+            self._connected = _tree(self, None)[3] == self.n
         return self._connected
 
     def __eq__(self, other):
@@ -177,7 +140,7 @@ class Multigraph:
 
 def _close(idx, parent, claimed, e: int, u: int, v: int) -> None:
     """Claim the tree edges of the cycle that edge e = (u, v) closes, and
-    store -2 - e in its key's parent; see _scan."""
+    store -2 - e in its key's parent; see _tree."""
     x, y = u, v
     ix, iy = idx[x], idx[y]
     bx = by = -1  # the last vertex each end stepped from
@@ -201,39 +164,39 @@ def _close(idx, parent, claimed, e: int, u: int, v: int) -> None:
     parent[bx] = -2 - e
 
 
-def _scan(g: Multigraph):
-    """Check that g is a connected cactus and return a generator of
-    (kind, vs) for each block in elimination order: kind 0 and vs =
-    (parent, child) for a bridge, kind 1 and vs the cycle's vertices in ring
-    order for a cycle, the attachment first.  Raises NotCactusError, naming
-    as stored an edge that closes a second cycle through some tree edge, or
-    DisconnectedGraphError, before it returns.
+def _tree(g: Multigraph, claimed):
+    """Grow a spanning tree from vertex 0 in stored edge order and return
+    (idx, parent, order, reached): each vertex's discovery number, -1 while
+    unreached, and tree parent, the reached vertices in discovery order, the
+    root left out, and how many vertices were reached.
 
-    The first pass grows a spanning tree from vertex 0 in stored edge order.
-    The cycles of a cactus are exactly the fundamental cycles of any of its
-    spanning trees, and a connected graph whose fundamental cycles are
-    pairwise edge-disjoint is a cactus (Paton, CACM 1969).  An edge with one
-    end reached is a tree edge and numbers the other end; one with both ends
-    reached closes a cycle.  Its ends walk up the tree, the one with the
-    larger number first (a parent is numbered before its child), until they
-    meet at the attachment a, and each step claims a tree edge; one claimed
-    twice lies on two cycles.  The cycle's key is the first numbered of the
+    An edge with one end reached is a tree edge and numbers the other end;
+    one with both ends reached closes a cycle.  With claimed None, as for
+    the connectivity check, a closing edge is skipped.  With claimed a
+    bytearray, as for the block scan, its ends walk up the tree, the one
+    with the larger number first (a parent is numbered before its child),
+    until they meet at the attachment a, and each step claims a tree edge;
+    one claimed twice lies on two cycles.  The cycles of a cactus are
+    exactly the fundamental cycles of any of its spanning trees, and a
+    connected graph whose fundamental cycles are pairwise edge-disjoint is a
+    cactus (Paton, CACM 1969).  The cycle's key is the first numbered of the
     one or two vertices just below a, and parent[key] becomes -2 - e for the
     closing edge e: no later read needs the parent of a claimed vertex, as a
     walk raises at one before it steps past.  An edge with neither end
     reached means the edges are not in grown order (generate's output and
-    the tests' random cacti always are): the loop stops there, and the rest
-    of the tree grows over the half-edge lists from every vertex reached so
-    far, one done flag per edge, the edges before that one already done.
-
-    The second pass, _unwind, reads the vertices in reverse discovery order.
+    the tests' random cacti always are): the loop stops at it, edge e, and
+    the rest of the tree grows from every vertex reached so far over linked
+    lists of the half-edges of the edges from e on, one done flag per edge.
+    Edge i has half-edges 2i, leaving ends[2i], and 2i+1, leaving
+    ends[2i+1], so half-edge h leads to vertex ends[h ^ 1]; nxt[h] is the
+    next half-edge leaving the same vertex, or -1, and head[v] is v's first
+    one, or -1; a vertex's list runs from its last edge to its first.
     """
     n = g.n
     ends = g._ends
-    idx = array("i", [-1]) * n  # discovery number, -1 while unreached
+    idx = array("i", [-1]) * n
     parent = array("i", [-1]) * n
-    order = array("i", [0]) * (n - 1)  # the vertices in discovery order, root left out
-    claimed = bytearray(n)
+    order = array("i", [0]) * (n - 1)
     idx[0] = 0
     reached = 1
     it = iter(ends)
@@ -243,51 +206,83 @@ def _scan(g: Multigraph):
                 break
             u, v = v, u
         elif idx[v] >= 0:
-            _close(idx, parent, claimed, e, u, v)
+            if claimed is not None:
+                _close(idx, parent, claimed, e, u, v)
             continue
         idx[v] = reached
         parent[v] = u
         order[reached - 1] = v
         reached += 1
-    else:
-        e = -1  # every edge came up with an end reached
-    if e >= 0:  # edge e came up with neither end reached
-        head, nxt = g._half_edges()
-        done = bytearray(len(ends) >> 1)
-        done[:e] = b"\1" * e
-        stack = [0, *order[:reached - 1]]
-        push, pop = stack.append, stack.pop
-        while stack:
-            x = pop()
-            h = head[x]
-            while h >= 0:
-                e = h >> 1
-                if not done[e]:
-                    done[e] = 1
-                    y = ends[h ^ 1]
-                    if idx[y] < 0:
-                        idx[y] = reached
-                        parent[y] = x
-                        order[reached - 1] = y
-                        reached += 1
-                        push(y)
-                    else:
-                        _close(idx, parent, claimed, e, ends[h & -2], ends[h | 1])
-                h = nxt[h]
-    if reached != n:
+    else:  # every edge came up with an end reached
+        return idx, parent, order, reached
+    nxt = array("i", [0]) * len(ends)
+    head = array("i", [-1]) * n
+    for h in range(2 * e, len(ends)):
+        v = ends[h]
+        nxt[h] = head[v]
+        head[v] = h
+    done = bytearray(len(ends) >> 1)
+    stack = [0, *order[:reached - 1]]
+    push, pop = stack.append, stack.pop
+    while stack:
+        x = pop()
+        h = head[x]
+        while h >= 0:
+            e = h >> 1
+            if not done[e]:
+                done[e] = 1
+                y = ends[h ^ 1]
+                if idx[y] < 0:
+                    idx[y] = reached
+                    parent[y] = x
+                    order[reached - 1] = y
+                    reached += 1
+                    push(y)
+                elif claimed is not None:
+                    _close(idx, parent, claimed, e, ends[h & -2], ends[h | 1])
+            h = nxt[h]
+    return idx, parent, order, reached
+
+
+def _scan(g: Multigraph) -> "_Blocks":
+    """Check that g is a connected cactus and return its blocks, a stream
+    that can be read more than once, of (kind, vs) for each block in
+    elimination order: kind 0 and vs = (parent, child) for a bridge, kind 1
+    and vs the cycle's vertices in ring order for a cycle, the attachment
+    first.  Raises NotCactusError, naming as stored an edge that closes a
+    second cycle through some tree edge, or DisconnectedGraphError, before
+    it returns.  The first pass is _tree's; each read of the stream runs the
+    second, _unwind, over the same tree.
+    """
+    claimed = bytearray(g.n)
+    idx, parent, order, reached = _tree(g, claimed)
+    if reached != g.n:
         raise DisconnectedGraphError(
-            f"graph is disconnected ({reached} of {n} vertices reachable)"
+            f"graph is disconnected ({reached} of {g.n} vertices reachable)"
         )
-    return _unwind(ends, idx, parent, order, claimed)
+    return _Blocks(g._ends, idx, parent, order, claimed)
+
+
+class _Blocks:
+    """The blocks of a scanned cactus: each iteration runs _unwind afresh."""
+
+    __slots__ = ("_args",)
+
+    def __init__(self, *args):
+        self._args = args
+
+    def __iter__(self):
+        return _unwind(*self._args)
 
 
 def _unwind(ends, idx, parent, order, claimed):
-    """The second pass of _scan: the vertices in reverse discovery order.  An
-    unclaimed vertex yields its bridge, a key its cycle, rebuilt from the
-    closing edge by walking each end up while its number is larger than the
-    key's; one walk stops at the key, the other at the attachment a.  Every
-    block hanging below a cycle, and every other vertex of the cycle, is
-    reached after its key, so this is an elimination order."""
+    """The second pass of _scan, which only reads the tree: the vertices in
+    reverse discovery order.  An unclaimed vertex yields its bridge, a key
+    its cycle, rebuilt from the closing edge by walking each end up while
+    its number is larger than the key's; one walk stops at the key, the
+    other at the attachment a.  Every block hanging below a cycle, and every
+    other vertex of the cycle, is reached after its key, so this is an
+    elimination order."""
     for x in reversed(order):
         p = parent[x]
         if not claimed[x]:

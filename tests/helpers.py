@@ -101,6 +101,27 @@ def random_cactus(
     return cr.Multigraph(nv, edges)
 
 
+def edge_orders(rng: random.Random, g: cr.Multigraph):
+    """g's edges in stored, shuffled and reversed order, each edge's ends
+    swapped at random."""
+    edges = list(g.edges)
+    shuffled = rng.sample(edges, len(edges))
+    for es in (edges, shuffled, edges[::-1]):
+        yield cr.Multigraph(g.n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in es])
+
+
+def grows_late(g: cr.Multigraph) -> bool:
+    """True iff some edge, in stored order, has neither end reached from
+    vertex 0 by the edges before it, so that the spanning tree grows the
+    rest of the way over half-edge lists."""
+    reached = {0}
+    for u, v in g.edges:
+        if u not in reached and v not in reached:
+            return True
+        reached.update((u, v))
+    return False
+
+
 def random_divisor(
     rng: random.Random, n: int, lo: int = -4, hi: int = 6, max_deg: int = 7
 ) -> cr.Divisor:

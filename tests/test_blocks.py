@@ -10,6 +10,8 @@ from .helpers import (
     block_decomposition,
     bowtie,
     cycle_graph,
+    edge_orders,
+    grows_late,
     k4,
     path_graph,
     random_cactus,
@@ -239,15 +241,6 @@ def _block_set(blocks):
     return sorted((b.kind.value, sorted(_block_edges(*b))) for b in blocks)
 
 
-def _orders(rng, g):
-    """g's edges in stored, shuffled and reversed order, each edge's ends
-    swapped at random."""
-    edges = list(g.edges)
-    shuffled = rng.sample(edges, len(edges))
-    for es in (edges, shuffled, edges[::-1]):
-        yield cr.Multigraph(g.n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in es])
-
-
 def test_scan_agrees_over_edge_orders():
     # random_cactus and generate write their edges in grown order, where each
     # edge has an end reached before it.  Shuffled or reversed, the scan
@@ -267,11 +260,11 @@ def test_scan_agrees_over_edge_orders():
                 f[rng.randrange(g.n)] += 1 if sum(f) < deg else -1
             divisors.append(f)
         ranks = [cr.rank(g, f).rank for f in divisors]
-        for h in _orders(rng, g):
+        for h in edge_orders(rng, g):
             assert _block_set(block_decomposition(h).blocks) == want, h.edges
             assert validate_bes(h, cr.build_bes(h)), h.edges
             assert [cr.rank(h, f).rank for f in divisors] == ranks, h.edges
-            grown_late += h._links is not None
+            grown_late += grows_late(h)
     assert grown_late >= 450, grown_late
     not_connected_cacti = (
         (cr.NotCactusError, k4()),
@@ -282,6 +275,6 @@ def test_scan_agrees_over_edge_orders():
     )
     for error, g in not_connected_cacti:
         for _ in range(20):
-            for h in _orders(rng, g):
+            for h in edge_orders(rng, g):
                 with pytest.raises(error):
                     cr.build_bes(h)

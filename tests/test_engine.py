@@ -5,6 +5,7 @@ from array import array
 import pytest
 
 import cactusrank as cr
+from cactusrank import graph
 from cactusrank.engine import _UNREACHABLE, _funnel, _product, _split
 from cactusrank.graph import _scan
 
@@ -400,10 +401,34 @@ def test_funnel_reads_k_minus_f_without_building_it():
             f = apply_firing(g, k, [rng.randint(-2, 2) for _ in range(g.n)])
         else:
             f = random_divisor(rng, g.n)
-        mirrored = list(_funnel(_scan(g), f, -1))
+        blocks = _scan(g)
+        assert list(blocks) == list(blocks)
+        mirrored = list(_funnel(blocks, f, -1))
         assert mirrored == list(_funnel(_scan(g), k - f, 1)), (g.edges, tuple(f))
         verdicts.add(any(res for *_, res in mirrored))
     assert verdicts == {False, True}
+
+
+def test_rank_grows_one_tree_per_call(monkeypatch):
+    # both no-charge tests and the path DP read the one scan that rank
+    # makes, so a call grows one spanning tree at every degree, traced or not
+    grown = []
+    tree = graph._tree
+
+    def counted(g, claimed):
+        grown.append(claimed)
+        return tree(g, claimed)
+
+    monkeypatch.setattr(graph, "_tree", counted)
+    for seed in range(6):
+        for deg in (-1, 0, 1, 11, 21, 22, 23):  # g = 12: g - 1, 2g - 3, 2g - 2, 2g - 1
+            g, f = cr.generate(cr.GeneratorParams(
+                vertices=60, cycles=12, max_cycle_len=5, divisor_degree=deg, seed=seed))
+            assert g.num_edges - g.n + 1 == 12
+            for trace in (False, True):
+                grown.clear()
+                cr.rank(g, f, trace=trace)
+                assert len(grown) == 1 and grown[0] is not None, (seed, deg, trace, grown)
 
 
 def _random_states(rng, k, size):

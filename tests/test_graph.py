@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,8 +7,8 @@ from hypothesis import given, strategies as st
 
 import cactusrank as cr
 
-from .helpers import (apply_firing, cycle_graph, index_divisor, is_effective, k4,
-                      laplacian_row, path_graph)
+from .helpers import (apply_firing, cycle_graph, edge_orders, grows_late, index_divisor,
+                      is_effective, k4, laplacian_row, path_graph, random_cactus)
 
 
 def test_multigraph_basic():
@@ -68,6 +70,44 @@ def test_disconnected_detected():
     assert not g.is_connected()
     with pytest.raises(cr.DisconnectedGraphError):
         cr.genus(g)
+
+
+def _reaches_all(g):
+    seen = {0}
+    stack = [0]
+    while stack:
+        for y in g.adjacency[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == g.n
+
+
+def test_is_connected_agrees_with_reachability():
+    # random multigraphs with parallel edges, and cacti alone or two side by
+    # side, relabelled, in stored, shuffled and reversed edge order: where an
+    # edge has neither end reached, the tree grows over half-edge lists,
+    # which must reach what a plain search over the adjacency reaches
+    rng = random.Random(2911)
+    kinds = Counter()
+    for _ in range(1000):
+        if rng.random() < 0.5:
+            parts = [random_cactus(rng, max_n=7, max_genus=3, max_cycle_len=4)
+                     for _ in range(rng.randint(1, 2))]
+            n = sum(p.n for p in parts)
+            edges = [(u + parts[0].n, v + parts[0].n) for p in parts[1:] for u, v in p.edges]
+            edges += parts[0].edges
+        else:
+            n = rng.randint(2, 14)
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+            edges += rng.choices(edges, k=rng.randint(0, 3)) if edges else []
+        label = rng.sample(range(n), n)
+        g = cr.Multigraph(n, [(label[u], label[v]) for u, v in edges])
+        want = _reaches_all(g)
+        for h in edge_orders(rng, g):
+            assert h.is_connected() == want, (h.n, h.edges)
+            kinds[want, grows_late(h)] += 1
+    assert min(kinds.values()) >= 200, kinds
 
 
 def test_genus_values():
