@@ -15,14 +15,22 @@ stderr and exit code 2, returned by main, not raised.
 
 Each command imports only the modules it runs, so that a call's start-up
 does not pay for the others; no argument-parsing library is loaded.
+
+A FILE that is a regular file longer than one run of the parse
+(problemfile._CHUNK bytes) is read by the pipelined reader, piped, when
+os.fork exists and the process may run on two CPUs or more: a forked child
+grows the spanning tree while this process parses.  Every other FILE is
+parsed in this process, and a call that reads one does not import piped.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+from stat import S_ISREG
 
 from .graph import GraphError, NotCactusError, OracleLimitError, is_cactus
-from .problemfile import ParseError, _text_runs, parse_file
+from .problemfile import _CHUNK, ParseError, _text_runs, parse_file
 
 
 def _cmd_rank(g, f, trace) -> int:
@@ -140,6 +148,25 @@ def _cmd_help() -> int:
     return 0
 
 
+def _read(path: str):
+    """The graph and divisor in the file at path, its connectivity left to
+    the command (see the module docstring for the pipelined read)."""
+    if _pipelined(path):
+        from .piped import parse_file as read
+        return read(path)
+    return parse_file(path, check_connected=False)
+
+
+def _pipelined(path: str) -> bool:
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return False
+    try:
+        st = os.stat(path)
+    except OSError:  # reported by the in-process read
+        return False
+    return S_ISREG(st.st_mode) and st.st_size > _CHUNK and len(os.sched_getaffinity(0)) > 1
+
+
 class _UsageError(Exception):
     pass
 
@@ -199,7 +226,7 @@ def main(argv=None) -> int:
         return 2
     inputs = None
     try:
-        inputs = () if path is None else parse_file(path, check_connected=False)
+        inputs = () if path is None else _read(path)
         if sys.stdout is None:
             raise OSError("stdout is closed")
         code = func(*inputs, **options)

@@ -6,13 +6,21 @@ immutable once built, derived views (edge pairs, adjacency, degrees) are
 computed lazily and cached.  One traversal, _tree, grows a spanning tree
 from vertex 0 in stored edge order and builds no adjacency unless the edges
 are not in grown order; it serves both the connectivity check and the block
-scan, _scan, which the rank engine and blocks.build_bes read.
-_divisor_degree is the one check of a divisor against a graph.
+scan, _scan, which the rank engine and blocks.build_bes read.  Its loop,
+_grow, reads the edges as a sequence of endpoint chunks, so that the CLI's
+pipelined read (see piped) can run it in a child over a stream.  A vertex's
+number is 1 + the index of the tree edge that reached it; the vertices the
+fallback for edges not in grown order reaches are numbered after every
+edge, m + 1, m + 2, ..., and listed in a C int array, late.  The tree grown
+with claims, or the NotCactusError that stopped it, is the graph's scan
+verdict: the connectivity check keeps it on the graph and the block scan
+takes it.  _divisor_degree is the one check of a divisor against a graph.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import chain, count, islice
 from operator import index
 from typing import Iterable, Sequence
 
@@ -52,7 +60,7 @@ class Multigraph:
     the other derived structures are built on first use and cached.
     """
 
-    __slots__ = ("n", "_ends", "_edges", "_adj", "_degrees", "_connected")
+    __slots__ = ("n", "_ends", "_edges", "_adj", "_degrees", "_connected", "_scanned")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         try:
@@ -80,6 +88,7 @@ class Multigraph:
         self._adj = None
         self._degrees = None
         self._connected = None
+        self._scanned = None
 
     @classmethod
     def _from_ends(cls, n: int, ends: array) -> "Multigraph":
@@ -122,8 +131,17 @@ class Multigraph:
         return self._degrees
 
     def is_connected(self) -> bool:
+        """True iff every vertex is reachable from vertex 0.  The tree is
+        grown with claims and kept for the block scan, _scan, to take; if it
+        stops at an edge that shows g is not a cactus, that verdict is kept
+        and a tree without claims answers."""
         if self._connected is None:
-            self._connected = _tree(self, None)[3] == self.n
+            if self._scanned is None:
+                self._scanned = _claimed_tree(self)
+            if isinstance(self._scanned, NotCactusError):
+                self._connected = -1 not in _tree(self, None)[0]
+            else:
+                self._connected = self._scanned.reached == self.n
         return self._connected
 
     def __eq__(self, other):
@@ -139,8 +157,8 @@ class Multigraph:
 
 
 def _close(idx, parent, claimed, e: int, u: int, v: int) -> None:
-    """Claim the tree edges of the cycle that edge e = (u, v) closes, and
-    store -2 - e in its key's parent; see _tree."""
+    """Claim the tree edges of the cycle that edge number e = (u, v) closes,
+    and store -1 - e in its key's parent; see _tree."""
     x, y = u, v
     ix, iy = idx[x], idx[y]
     bx = by = -1  # the last vertex each end stepped from
@@ -161,22 +179,49 @@ def _close(idx, parent, claimed, e: int, u: int, v: int) -> None:
             iy = idx[y]
     if bx < 0 or 0 <= by and idx[by] < idx[bx]:
         bx = by
-    parent[bx] = -2 - e
+    parent[bx] = -1 - e
+
+
+def _grow(n: int, chunks, claimed):
+    """The stored-order loop of _tree, over the edges of chunks, a sequence
+    of flat endpoint arrays each holding whole edges: (idx, parent, stop),
+    stop being the index of the first edge with neither end reached, or None
+    if every edge came up with an end reached."""
+    idx = array("i", [-1]) * n
+    parent = array("i", [-1]) * n
+    idx[0] = 0
+    e = 0
+    for ends in chunks:
+        it = iter(ends)
+        for e, u, v in zip(count(e + 1), it, it):
+            if idx[u] < 0:
+                if idx[v] < 0:
+                    return idx, parent, e - 1
+                idx[u] = e
+                parent[u] = v
+            elif idx[v] < 0:
+                idx[v] = e
+                parent[v] = u
+            elif claimed is not None:
+                _close(idx, parent, claimed, e, u, v)
+    return idx, parent, None
 
 
 def _tree(g: Multigraph, claimed):
     """Grow a spanning tree from vertex 0 in stored edge order and return
-    (idx, parent, order, reached): each vertex's discovery number, -1 while
-    unreached, and tree parent, the reached vertices in discovery order, the
-    root left out, and how many vertices were reached.
+    (idx, parent, late, stop): each vertex's number, -1 while unreached, and
+    tree parent, the vertices the fallback below reached, in the order it
+    reached them, and the index of the edge the stored-order loop, _grow,
+    stopped at, m if none.
 
-    An edge with one end reached is a tree edge and numbers the other end;
-    one with both ends reached closes a cycle.  With claimed None, as for
-    the connectivity check, a closing edge is skipped.  With claimed a
-    bytearray, as for the block scan, its ends walk up the tree, the one
-    with the larger number first (a parent is numbered before its child),
-    until they meet at the attachment a, and each step claims a tree edge;
-    one claimed twice lies on two cycles.  The cycles of a cactus are
+    An edge with one end reached is a tree edge: the other end's parent is
+    the reached end and its number is 1 + the edge's index, the root's being
+    0, so a parent is numbered before its child.  An edge with both ends
+    reached closes a cycle.  With claimed None, as for the connectivity
+    check, a closing edge is skipped.  With claimed a bytearray, as for the
+    block scan, its ends walk up the tree, the one with the larger number
+    first, until they meet at the attachment a, and each step claims a tree
+    edge; one claimed twice lies on two cycles.  The cycles of a cactus are
     exactly the fundamental cycles of any of its spanning trees, and a
     connected graph whose fundamental cycles are pairwise edge-disjoint is a
     cactus (Paton, CACM 1969).  The cycle's key is the first numbered of the
@@ -184,46 +229,33 @@ def _tree(g: Multigraph, claimed):
     closing edge e: no later read needs the parent of a claimed vertex, as a
     walk raises at one before it steps past.  An edge with neither end
     reached means the edges are not in grown order (generate's output and
-    the tests' random cacti always are): the loop stops at it, edge e, and
-    the rest of the tree grows from every vertex reached so far over linked
-    lists of the half-edges of the edges from e on, one done flag per edge.
-    Edge i has half-edges 2i, leaving ends[2i], and 2i+1, leaving
-    ends[2i+1], so half-edge h leads to vertex ends[h ^ 1]; nxt[h] is the
-    next half-edge leaving the same vertex, or -1, and head[v] is v's first
-    one, or -1; a vertex's list runs from its last edge to its first.
+    the tests' random cacti always are): the loop stops at it, edge stop,
+    and the rest of the tree grows from every vertex reached so far over
+    linked lists of the half-edges of the edges from stop on, one done flag
+    per edge.  It numbers the vertices it reaches m + 1, m + 2, ..., after
+    every number the loop gave, and lists them in late, a C int array: edge
+    numbers fit a C int, as half-edge indices must.  Edge i has half-edges
+    2i, leaving ends[2i], and 2i+1, leaving ends[2i+1], so half-edge h leads
+    to vertex ends[h ^ 1]; nxt[h] is the next half-edge leaving the same
+    vertex, or -1, and head[v] is v's first one, or -1; a vertex's list runs
+    from its last edge to its first.
     """
-    n = g.n
     ends = g._ends
-    idx = array("i", [-1]) * n
-    parent = array("i", [-1]) * n
-    order = array("i", [0]) * (n - 1)
-    idx[0] = 0
-    reached = 1
-    it = iter(ends)
-    for e, (u, v) in enumerate(zip(it, it)):
-        if idx[u] < 0:
-            if idx[v] < 0:
-                break
-            u, v = v, u
-        elif idx[v] >= 0:
-            if claimed is not None:
-                _close(idx, parent, claimed, e, u, v)
-            continue
-        idx[v] = reached
-        parent[v] = u
-        order[reached - 1] = v
-        reached += 1
-    else:  # every edge came up with an end reached
-        return idx, parent, order, reached
+    m = len(ends) >> 1
+    idx, parent, stop = _grow(g.n, (ends,), claimed)
+    late = array("i")
+    if stop is None:
+        return idx, parent, late, m
     nxt = array("i", [0]) * len(ends)
-    head = array("i", [-1]) * n
-    for h in range(2 * e, len(ends)):
+    head = array("i", [-1]) * g.n
+    for h in range(2 * stop, len(ends)):
         v = ends[h]
         nxt[h] = head[v]
         head[v] = h
-    done = bytearray(len(ends) >> 1)
-    stack = [0, *order[:reached - 1]]
+    done = bytearray(m)
+    stack = [0, *_heads(ends, idx, stop)]
     push, pop = stack.append, stack.pop
+    number = m
     while stack:
         x = pop()
         h = head[x]
@@ -233,15 +265,41 @@ def _tree(g: Multigraph, claimed):
                 done[e] = 1
                 y = ends[h ^ 1]
                 if idx[y] < 0:
-                    idx[y] = reached
+                    number += 1
+                    idx[y] = number
                     parent[y] = x
-                    order[reached - 1] = y
-                    reached += 1
+                    late.append(y)
                     push(y)
                 elif claimed is not None:
-                    _close(idx, parent, claimed, e, ends[h & -2], ends[h | 1])
+                    _close(idx, parent, claimed, e + 1, ends[h & -2], ends[h | 1])
             h = nxt[h]
-    return idx, parent, order, reached
+    return idx, parent, late, stop
+
+
+def _heads(ends, idx, stop: int, backward: bool = False):
+    """The vertex each tree edge among edges 0..stop-1 reached, the end that
+    has the edge's number, first edge first, or last first if backward."""
+    if backward:
+        numbers = range(stop, 0, -1)
+        it = islice(reversed(ends), len(ends) - 2 * stop, None)
+    else:
+        numbers = range(1, stop + 1)
+        it = iter(ends)
+    for e, u, v in zip(numbers, it, it):
+        if idx[u] == e:
+            yield u
+        elif idx[v] == e:
+            yield v
+
+
+def _claimed_tree(g: Multigraph):
+    """g's tree grown with claims, as _Blocks, or the NotCactusError that
+    stopped it."""
+    claimed = bytearray(g.n)
+    try:
+        return _Blocks(g._ends, *_tree(g, claimed), claimed)
+    except NotCactusError as e:
+        return e
 
 
 def _scan(g: Multigraph) -> "_Blocks":
@@ -251,39 +309,46 @@ def _scan(g: Multigraph) -> "_Blocks":
     and vs the cycle's vertices in ring order for a cycle, the attachment
     first.  Raises NotCactusError, naming as stored an edge that closes a
     second cycle through some tree edge, or DisconnectedGraphError, before
-    it returns.  The first pass is _tree's; each read of the stream runs the
+    it returns.  The first pass is _tree's, unless g already holds its
+    verdict, which the scan then takes; each read of the stream runs the
     second, _unwind, over the same tree.
     """
-    claimed = bytearray(g.n)
-    idx, parent, order, reached = _tree(g, claimed)
-    if reached != g.n:
+    blocks, g._scanned = g._scanned, None
+    if blocks is None:
+        blocks = _claimed_tree(g)
+    if isinstance(blocks, NotCactusError):
+        raise blocks
+    if blocks.reached != g.n:
         raise DisconnectedGraphError(
-            f"graph is disconnected ({reached} of {g.n} vertices reachable)"
+            f"graph is disconnected ({blocks.reached} of {g.n} vertices reachable)"
         )
-    return _Blocks(g._ends, idx, parent, order, claimed)
+    return blocks
 
 
 class _Blocks:
-    """The blocks of a scanned cactus: each iteration runs _unwind afresh."""
+    """The blocks of a scanned graph, whose tree reached .reached vertices:
+    each iteration runs _unwind afresh."""
 
-    __slots__ = ("_args",)
+    __slots__ = ("_args", "reached")
 
-    def __init__(self, *args):
-        self._args = args
+    def __init__(self, ends, idx, parent, late, stop, claimed, reached=None):
+        self._args = ends, idx, parent, late, stop, claimed
+        self.reached = len(idx) - idx.count(-1) if reached is None else reached
 
     def __iter__(self):
         return _unwind(*self._args)
 
 
-def _unwind(ends, idx, parent, order, claimed):
+def _unwind(ends, idx, parent, late, stop, claimed):
     """The second pass of _scan, which only reads the tree: the vertices in
-    reverse discovery order.  An unclaimed vertex yields its bridge, a key
-    its cycle, rebuilt from the closing edge by walking each end up while
-    its number is larger than the key's; one walk stops at the key, the
-    other at the attachment a.  Every block hanging below a cycle, and every
-    other vertex of the cycle, is reached after its key, so this is an
-    elimination order."""
-    for x in reversed(order):
+    reverse discovery order, which is reversed(late), then the end each tree
+    edge reached, from the stop edge down.  An unclaimed vertex yields its
+    bridge, a key its cycle, rebuilt from the closing edge by walking each
+    end up while its number is larger than the key's; one walk stops at the
+    key, the other at the attachment a.  Every block hanging below a cycle,
+    and every other vertex of the cycle, is reached after its key, so this
+    is an elimination order."""
+    for x in chain(reversed(late), _heads(ends, idx, stop, True)):
         p = parent[x]
         if not claimed[x]:
             yield 0, (p, x)

@@ -157,8 +157,10 @@ def _divisor(line: str, lineno: int, n: int) -> Divisor:
     return divisor
 
 
-def _parse(fh, check_connected: bool):
-    # fh: a seekable binary file, read from its current position
+def _parse(fh, check_connected: bool, hook=None):
+    # fh: a seekable binary file, read from its current position.  After each
+    # run's checks, hook, if given, is called with n, ends and the index in
+    # ends of the run's first new endpoint (the pipelined read, see piped)
     start = fh.tell()
     runs = _runs(fh)
     n = divisor = None
@@ -166,6 +168,7 @@ def _parse(fh, check_connected: bool):
     add_end = ends.append
     lineno = 0
     for run in runs:
+        new = len(ends)
         if not run.isascii():
             _text(run, lineno)  # raises on the byte's line
         a, b, edges = _edge_run(run)
@@ -239,6 +242,8 @@ def _parse(fh, check_connected: bool):
             if divisor is not None:
                 _divisor(*divisor, n)
             raise
+        if hook is not None:
+            hook(n, ends, new)
     if n is None:
         raise ParseError("missing n header", lineno or None)
     if divisor is None:

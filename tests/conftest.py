@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -19,3 +20,16 @@ def corpus():
         f = helpers.random_divisor(rng, g.n, lo=-4, hi=6, max_deg=7)
         out.append((g, f))
     return out
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test():
+    """Fails a test that leaves a child process behind, running or unreaped:
+    every process a test starts, and the CLI's pipelined read forks, must be
+    reaped by the time it ends."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the test ({'running' if pid == 0 else pid})")

@@ -227,7 +227,9 @@ def test_band_quarters_linear_time(tmp_path):
     # the no-charge test over f closes the first and the one over K - f the
     # second, so neither runs the path DP, which took 131 and 149 s.  On a
     # 2-vCPU Xeon VM (CPython 3.11.7) the CLI call measured 2.9-3.6 s with a
-    # depth-first block scan, and 1.6 s with the edge-order scan.
+    # depth-first block scan, and 1.6 s with the edge-order scan; at 1/4, 1.80
+    # s before the pipelined read and 1.54 s with it (medians of five
+    # alternated pairs).
     n = 2 ** 20
     cycles = n // 8
     times = {}
@@ -258,10 +260,11 @@ def test_rank_peak_rss(tmp_path):
     # time into one endpoint array and the divisor, and the engine folds in
     # the block scan's blocks as they come, so neither the file's bytes nor
     # the elimination scheme is held; on a 2-vCPU Xeon VM (CPython 3.11.7)
-    # the peak measured 48 MB, against 64 MB with the whole file read and
-    # the scheme stored in typed arrays, 80 MB with a copy of the divisor, a
-    # far-end array and a list behind the divisor, and 176 MB with lists of
-    # ints.  The same file with CRLF line ends is read line by line, and
+    # the peak measured 48 MB (47.0 MB with the pipelined read, whose forked
+    # child is reaped before exit and so counted), against 64 MB with the
+    # whole file read and the scheme stored in typed arrays, 80 MB with a
+    # copy of the divisor, a far-end array and a list behind the divisor, and
+    # 176 MB with lists of ints.  The same file with CRLF line ends is read line by line, and
     # with a comment on top its edge lines still go by the C route a run at
     # a time; both measured 47-48 MB, against 50 MB when either sent the
     # whole file to a separate line parser, 69 MB with the file's bytes held,
@@ -291,7 +294,10 @@ def test_shuffled_edges_at_scale(tmp_path):
     # block scan meets an edge with neither end reached at once and grows
     # its tree over half-edge lists, holding them beside the tree arrays; on
     # a 2-vCPU Xeon VM (CPython 3.11.7) the CLI call measured 2.0 s at a
-    # 59 MB peak, against 1.0 s and 47 MB with the edges in grown order
+    # 59 MB peak, against 1.0 s and 47 MB with the edges in grown order.
+    # The pipelined read forks here too, but its child meets that edge at
+    # once and the tree grows in the CLI: 2.80 s against 2.89 s before it,
+    # medians of eight alternated pairs on a busier host, both at 59 MB
     n = 2 ** 20
     cycles = n // 8
     g, f = cr.generate(cr.GeneratorParams(

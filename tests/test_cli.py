@@ -1,11 +1,15 @@
 import os
+import random
 import subprocess
 import sys
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cactusrank as cr
+from cactusrank import graph, piped
 from cactusrank.cli import _COMMANDS, main
+from cactusrank.problemfile import _CHUNK
 
 from .helpers import CHILD_ENV, run_fresh
 
@@ -306,20 +310,199 @@ def test_cli_call_loads_only_its_command(tmp_path):
     for argv, answer, used, unused in (
         (["rank", path], "0", "cactusrank.engine",
          {"cactusrank.blocks", "cactusrank.oracle", "cactusrank.generator",
-          "dataclasses", "inspect"}),
+          "cactusrank.piped", "dataclasses", "inspect"}),
         (["check", path], "cactus", "cactusrank.graph",
          {"cactusrank.blocks", "cactusrank.engine", "cactusrank.oracle",
-          "cactusrank.generator"}),
+          "cactusrank.generator", "cactusrank.piped"}),
         (["oracle", path], "0", "cactusrank.oracle",
          {"cactusrank.blocks", "cactusrank.engine", "cactusrank.generator",
-          "dataclasses", "inspect"}),
+          "cactusrank.piped", "dataclasses", "inspect"}),
         (["gen", "--vertices", "3"], "n 3", "cactusrank.generator",
-         {"cactusrank.blocks", "cactusrank.engine", "cactusrank.oracle"}),
+         {"cactusrank.blocks", "cactusrank.engine", "cactusrank.oracle",
+          "cactusrank.piped"}),
     ):
         first, *_, summary = run_fresh(_LOADED, *argv).splitlines()
         code, *loaded = summary.split()
         assert (first, code) == (answer, "0") and used in loaded, argv
         assert not (unused | {"argparse"}) & set(loaded), argv
+
+
+# the pipelined read: files over one run of the parse, from generate at
+# 2^13 vertices, and variants that end at each exit code the read can meet
+_BIG_N = 2 ** 13
+_BIG_CYCLES = _BIG_N // 8
+
+
+def _big_text(degree: int, seed: int = 3) -> str:
+    g, f = cr.generate(cr.GeneratorParams(_BIG_N, _BIG_CYCLES, 8, degree, seed))
+    return cr.serialize(g, f)
+
+
+def _big_variants() -> dict:
+    """name: file bytes.  The chord runs parallel to an edge of a cycle of
+    three or more vertices, so it closes a second cycle through that edge;
+    it and the other edits sit near the end, after the first runs went to
+    the child."""
+    text = _big_text(_BIG_CYCLES - 1)
+    head, *edges, divisor = text.splitlines(keepends=True)
+    g, _ = cr.parse_string(text)
+    a, b = next(vs for kind, vs in graph._scan(g) if kind == 1 and len(vs) > 2)[:2]
+    chord = [*edges[:-10], f"e {a} {b}\n", *edges[-10:]]
+    n = int(head.split()[1])
+    variants = {
+        "stored": text,
+        "chord": "".join([head, *chord, divisor]),
+        "isolated vertex": "".join([f"n {n + 1}\n", *edges, divisor.rstrip() + " 0\n"]),
+        "chord then a bad line": "".join([head, *chord, "e 1\n", divisor]),
+        "late non-ASCII byte": "".join([head, *edges, "# caf\u00e9\n", divisor]),
+        "CRLF line ends": text.replace("\n", "\r\n"),
+        "shuffled edges": "".join([head, *random.Random(5).sample(edges, len(edges)), divisor]),
+    }
+    return {name: text.encode() for name, text in variants.items()}
+
+
+def _calls(path, argvs, capsys) -> list:
+    # (exit code, stdout, stderr) of main on each argv, path after the command
+    out = []
+    for command, *options in argvs:
+        code = main([command, str(path), *options])
+        out.append((code, *capsys.readouterr()))
+    return out
+
+
+def _counted_forks(monkeypatch) -> list:
+    # two CPUs, whatever the host has, and a list that grows by one a fork
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _in_process(path, argvs, capsys, monkeypatch) -> list:
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        return _calls(path, argvs, capsys)
+
+
+_ARGVS = (["rank"], ["rank", "--trace"], ["check"], ["bes"])
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@needs_fork
+def test_pipelined_read_matches_the_in_process_read(tmp_path, capsys, monkeypatch):
+    forks = _counted_forks(monkeypatch)
+    path = tmp_path / "big.txt"
+    cases = [(f"degree {d}", _big_text(d).encode())
+             for d in (-1, 0, _BIG_CYCLES // 2, _BIG_CYCLES - 1, 2 * _BIG_CYCLES - 2,
+                       2 * _BIG_CYCLES - 1)]
+    cases += _big_variants().items()
+    codes = set()
+    for name, data in cases:
+        assert len(data) > _CHUNK, name
+        path.write_bytes(data)
+        forks.clear()
+        got = _calls(path, _ARGVS, capsys)
+        assert len(forks) == len(_ARGVS), name
+        assert got == _in_process(path, _ARGVS, capsys, monkeypatch), name
+        codes.update(code for code, *_ in got)
+    assert codes == {0, 2, 3, 4}
+
+
+@needs_fork
+def test_pipelined_read_verdicts(tmp_path):
+    # what the child found is on the graph for the scan to take; on
+    # shuffled edges it found an edge with neither end reached, and the
+    # scan grows the tree in this process
+    path = tmp_path / "big.txt"
+    variants = _big_variants()
+    for name, verdict in (("stored", graph._Blocks), ("chord", cr.NotCactusError),
+                          ("isolated vertex", graph._Blocks),
+                          ("shuffled edges", type(None))):
+        path.write_bytes(variants[name])
+        g, f = piped.parse_file(str(path))
+        assert type(g._scanned) is verdict, name
+        assert (g, f) == cr.parse_string(variants[name].decode(), check_connected=False)
+
+
+@needs_fork
+def test_pipelined_read_survives_a_child_that_exits_at_once(tmp_path, capsys,
+                                                             monkeypatch):
+    fork = os.fork
+
+    def short_lived():
+        pid = fork()
+        if pid == 0:
+            os._exit(0)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", short_lived)
+    path = tmp_path / "big.txt"
+    variants = _big_variants()
+    for name in ("stored", "chord", "isolated vertex", "chord then a bad line"):
+        path.write_bytes(variants[name])
+        want = _in_process(path, _ARGVS, capsys, monkeypatch)
+        assert _calls(path, _ARGVS, capsys) == want, name
+
+
+@needs_fork
+def test_pipelined_read_forks_once_for_a_big_file_only(tmp_path, capsys, monkeypatch):
+    forks = _counted_forks(monkeypatch)
+    big = tmp_path / "big.txt"
+    big.write_text(_big_text(0))
+    small = write(tmp_path, "t.txt", TRIANGLE_GOOD)
+    assert main(["rank", str(big)]) == 0
+    assert len(forks) == 1
+    for command in ("rank", "check", "bes", "oracle", "reduce", "rrcheck"):
+        main([command, small])
+    assert len(forks) == 1
+    capsys.readouterr()
+
+
+# the CLI with a forked child that starts 0.3 s late, so that it would
+# outlive a CLI that did not wait for it
+_SLOW_CHILD = """import os, sys, time
+fork = os.fork
+def slow():
+    pid = fork()
+    if pid == 0:
+        time.sleep(0.3)
+    return pid
+os.fork = slow
+from cactusrank.cli import main
+sys.exit(main(sys.argv[1:]))"""
+
+
+def test_no_process_outlives_a_cli_call(tmp_path):
+    # a process the CLI forked holds every file descriptor the CLI held, so
+    # the read end of a pipe whose write end the CLI inherits reaches its end
+    # as soon as the call exits only if no such process is left.  stdout and
+    # stderr go to a file: a pipe there would make run() wait for every holder
+    variants = _big_variants()
+    path = tmp_path / "big.txt"
+    for name, code in (("stored", 0), ("chord then a bad line", 2), ("chord", 4)):
+        path.write_bytes(variants[name])
+        for how in (["-m", "cactusrank"], ["-c", _SLOW_CHILD]):
+            r, w = os.pipe()
+            try:
+                with open(tmp_path / "out", "w") as out:
+                    proc = subprocess.run([sys.executable, *how, "rank", str(path)],
+                                          env=CHILD_ENV, stdout=out, stderr=out,
+                                          pass_fds=(w,), timeout=60)
+                os.close(w)
+                w = -1
+                os.set_blocking(r, False)
+                assert (proc.returncode, os.read(r, 1)) == (code, b""), (name, how)
+            finally:
+                os.close(r)
+                if w >= 0:
+                    os.close(w)
 
 
 def _mutate(seed: bytes, edits) -> bytes:

@@ -431,6 +431,34 @@ def test_rank_grows_one_tree_per_call(monkeypatch):
                 assert len(grown) == 1 and grown[0] is not None, (seed, deg, trace, grown)
 
 
+def test_parse_then_rank_grows_one_tree(monkeypatch):
+    # parse_string checks connectivity by growing the tree with claims, and
+    # keeps it on the graph for the block scan that rank then runs
+    g, f = cr.generate(cr.GeneratorParams(
+        vertices=4096, cycles=512, max_cycle_len=8, divisor_degree=1022, seed=3))
+    text = cr.serialize(g, f)
+    want = cr.rank(g, f).rank
+    grown = []
+    tree = graph._tree
+
+    def counted(g, claimed):
+        grown.append(claimed)
+        return tree(g, claimed)
+
+    monkeypatch.setattr(graph, "_tree", counted)
+    h, f = cr.parse_string(text)
+    assert cr.rank(h, f).rank == want
+    assert len(grown) == 1 and grown[0] is not None
+    # a graph that is not a cactus keeps that verdict, and a tree without
+    # claims answers the connectivity check
+    grown.clear()
+    h, f = cr.parse_string(text.replace("\nd ", "\ne 0 5\ne 0 5\nd ", 1))
+    assert [c is None for c in grown] == [False, True]
+    with pytest.raises(cr.NotCactusError, match=r"edge \(0, 5\)"):
+        cr.rank(h, f)
+    assert len(grown) == 2
+
+
 def _random_states(rng, k, size):
     # residue states with -inf holes, as a cycle's per-residue lists hold
     states = {}
