@@ -126,7 +126,10 @@ class _Child:
             self.answer = -1
         if self.pid:
             pid, self.pid = self.pid, 0
-            os.waitpid(pid, 0)
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already, as where SIGCHLD is ignored
+                pass
 
 
 def _serve(n: int, data: int, answer: int) -> None:

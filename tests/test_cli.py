@@ -465,6 +465,17 @@ def test_pipelined_read_forks_once_for_a_big_file_only(tmp_path, capsys, monkeyp
     capsys.readouterr()
 
 
+def test_pipelined_read_where_the_system_reaps_children(tmp_path):
+    # with SIGCHLD ignored the child is reaped by the system, and the CLI's
+    # own wait finds no child: not an error
+    text = _big_text(0)
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    code = ("import signal, sys; signal.signal(signal.SIGCHLD, signal.SIG_IGN); "
+            "from cactusrank.cli import main; sys.exit(main(sys.argv[1:]))")
+    assert run_fresh(code, "rank", str(path)) == f"{cr.rank(*cr.parse_string(text)).rank}\n"
+
+
 # the CLI with a forked child that starts 0.3 s late, so that it would
 # outlive a CLI that did not wait for it
 _SLOW_CHILD = """import os, sys, time
