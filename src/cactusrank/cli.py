@@ -16,11 +16,12 @@ stderr and exit code 2, returned by main, not raised.
 Each command imports only the modules it runs, so that a call's start-up
 does not pay for the others; no argument-parsing library is loaded.
 
-A FILE that is a regular file longer than one run of the parse
-(problemfile._CHUNK bytes) is read by the pipelined reader, piped, when
-os.fork exists and the process may run on two CPUs or more: a forked child
-grows the spanning tree while this process parses.  Every other FILE is
-parsed in this process, and a call that reads one does not import piped.
+For a command that scans the graph's blocks (rank, rrcheck, check, bes), a
+FILE that is a regular file of more than _PIPELINED bytes is read by the
+pipelined reader, piped, when os.fork exists and the process may run on two
+CPUs or more: a forked child grows the spanning tree while this process
+parses.  Every other FILE is parsed in this process, and a call that reads
+one does not import piped.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 from stat import S_ISREG
 
 from .graph import GraphError, NotCactusError, OracleLimitError, is_cactus
-from .problemfile import _CHUNK, ParseError, _text_runs, parse_file
+from .problemfile import ParseError, _text_runs, parse_file
 
 
 def _cmd_rank(g, f, trace) -> int:
@@ -148,10 +149,21 @@ def _cmd_help() -> int:
     return 0
 
 
-def _read(path: str):
+# the commands whose handlers scan the graph's blocks, which the pipelined
+# read's child starts on
+_SCANS = (_cmd_rank, _cmd_rrcheck, _cmd_check, _cmd_bes)
+# the file size in bytes above which a scanning command's read is pipelined:
+# in alternated CLI pairs of rank on gen files (2-vCPU VM, CPython 3.11.7;
+# README, Performance) the two reads break even at about half a megabyte,
+# and below it the fork and the pipe cost more than the overlap saves
+_PIPELINED = 1 << 19
+
+
+def _read(path: str, scans: bool):
     """The graph and divisor in the file at path, its connectivity left to
-    the command (see the module docstring for the pipelined read)."""
-    if _pipelined(path):
+    the command, which scans the blocks if scans (see the module docstring
+    for the pipelined read)."""
+    if scans and _pipelined(path):
         from .piped import parse_file as read
         return read(path)
     return parse_file(path, check_connected=False)
@@ -164,7 +176,8 @@ def _pipelined(path: str) -> bool:
         st = os.stat(path)
     except OSError:  # reported by the in-process read
         return False
-    return S_ISREG(st.st_mode) and st.st_size > _CHUNK and len(os.sched_getaffinity(0)) > 1
+    return (S_ISREG(st.st_mode) and st.st_size > _PIPELINED
+            and len(os.sched_getaffinity(0)) > 1)
 
 
 class _UsageError(Exception):
@@ -226,7 +239,7 @@ def main(argv=None) -> int:
         return 2
     inputs = None
     try:
-        inputs = () if path is None else _read(path)
+        inputs = () if path is None else _read(path, func in _SCANS)
         if sys.stdout is None:
             raise OSError("stdout is closed")
         code = func(*inputs, **options)

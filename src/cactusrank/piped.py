@@ -1,14 +1,17 @@
 """The pipelined read: a problem file is parsed in this process while a
 forked child grows its spanning tree.
 
-The CLI reads a FILE this way when it is a regular file longer than one run
-(problemfile._CHUNK bytes), os.fork exists and the process may run on at
-least two CPUs; no other call loads this module.  The parse is
-problemfile's, with every check.  The child is forked at the first run
-that knows n, and after each run's checks the run's new endpoints go to it
-as raw C ints over a pipe.  It grows the tree with claims over that stream,
-in the graph module's stored-order loop, _grow, and answers on a second
-pipe with one of
+The CLI reads a FILE this way for a command that scans the graph when the
+FILE is a regular file of more than cli._PIPELINED bytes, os.fork exists
+and the process may run on at least two CPUs; no other call loads this
+module.  The parse is problemfile's, with every check.  The child is forked
+at the first run that knows n, unless n is more than the file could hold
+(its divisor line alone takes more than 2n bytes), so that the child, which
+sizes its arrays by n, about 9 bytes a vertex, never allocates more than a
+few times the file's size.  After each run's checks the run's new endpoints
+go to it as raw C ints over a pipe.  It grows the tree with claims over
+that stream, in the graph module's stored-order loop, _grow, and answers on
+a second pipe with one of
 
   _TREE        the number of vertices reached, then idx, parent and claimed;
   _NOT_CACTUS  the edge that closes a second cycle through a tree edge;
@@ -41,21 +44,24 @@ def parse_file(path: str):
     """(Multigraph, Divisor) for the problem file at path, as
     problemfile.parse_file(path, check_connected=False) gives them, the
     graph holding the child's verdict."""
-    child = _Child()
-    try:
-        with open(path, "rb") as fh:
+    with open(path, "rb") as fh:
+        # a file that parses holds more than 2n bytes: "d" and " c" for each
+        # of the divisor's n entries
+        child = _Child(os.fstat(fh.fileno()).st_size // 2)
+        try:
             g, f = _parse(fh, False, child.send)
-        child.verdict(g)
-    finally:
-        child.close()
+            child.verdict(g)
+        finally:
+            child.close()
     return g, f
 
 
 class _Child:
     """The forked child and this process's ends of its two pipes, -1 once
-    closed."""
+    closed; no child is forked for more than max_n vertices."""
 
-    def __init__(self):
+    def __init__(self, max_n: int):
+        self.max_n = max_n
         self.forked = False
         self.pid = 0
         self.data = self.answer = -1
@@ -67,6 +73,8 @@ class _Child:
             if n is None:
                 return
             self.forked = True
+            if n > self.max_n:  # an error to come: the file is too short
+                return
             self._fork(n)
         if self.data >= 0:
             try:

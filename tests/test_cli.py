@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cactusrank as cr
-from cactusrank import graph, piped
+from cactusrank import cli, graph, piped
 from cactusrank.cli import _COMMANDS, main
 from cactusrank.problemfile import _CHUNK
 
@@ -328,7 +328,8 @@ def test_cli_call_loads_only_its_command(tmp_path):
 
 
 # the pipelined read: files over one run of the parse, from generate at
-# 2^13 vertices, and variants that end at each exit code the read can meet
+# 2^13 vertices, and variants that end at each exit code the read can meet.
+# They are under the CLI's size threshold, which the tests lower to one run
 _BIG_N = 2 ** 13
 _BIG_CYCLES = _BIG_N // 8
 
@@ -370,16 +371,22 @@ def _calls(path, argvs, capsys) -> list:
     return out
 
 
-def _counted_forks(monkeypatch) -> list:
-    # two CPUs, whatever the host has, and a list that grows by one a fork
+def _counted_forks(monkeypatch, exit_at_once: bool = False) -> list:
+    # two CPUs, whatever the host has, files over one run pipelined, and a
+    # list that grows by one a fork; if exit_at_once, each child leaves as
+    # soon as it is forked
     forks = []
     fork = os.fork
 
     def counted():
         forks.append(1)
-        return fork()
+        pid = fork()
+        if pid == 0 and exit_at_once:
+            os._exit(0)
+        return pid
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli, "_PIPELINED", _CHUNK)
     monkeypatch.setattr(os, "fork", counted)
     return forks
 
@@ -433,83 +440,117 @@ def test_pipelined_read_verdicts(tmp_path):
 @needs_fork
 def test_pipelined_read_survives_a_child_that_exits_at_once(tmp_path, capsys,
                                                              monkeypatch):
-    fork = os.fork
-
-    def short_lived():
-        pid = fork()
-        if pid == 0:
-            os._exit(0)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", short_lived)
+    forks = _counted_forks(monkeypatch, exit_at_once=True)
     path = tmp_path / "big.txt"
     variants = _big_variants()
     for name in ("stored", "chord", "isolated vertex", "chord then a bad line"):
         path.write_bytes(variants[name])
         want = _in_process(path, _ARGVS, capsys, monkeypatch)
         assert _calls(path, _ARGVS, capsys) == want, name
+    assert forks
 
 
 @needs_fork
-def test_pipelined_read_forks_once_for_a_big_file_only(tmp_path, capsys, monkeypatch):
+def test_pipelined_read_forks_once_for_a_big_file_and_a_scan_only(tmp_path, capsys,
+                                                                 monkeypatch):
+    threshold = cli._PIPELINED
     forks = _counted_forks(monkeypatch)
     big = tmp_path / "big.txt"
     big.write_text(_big_text(0))
     small = write(tmp_path, "t.txt", TRIANGLE_GOOD)
     assert main(["rank", str(big)]) == 0
     assert len(forks) == 1
+    # oracle and reduce do not scan; oracle refuses the graph by its size
+    assert main(["oracle", str(big)]) == 5
+    assert main(["reduce", str(big)]) == 0
     for command in ("rank", "check", "bes", "oracle", "reduce", "rrcheck"):
         main([command, small])
+    assert len(forks) == 1
+    # the big file is under the real threshold
+    assert big.stat().st_size <= threshold
+    monkeypatch.setattr(cli, "_PIPELINED", threshold)
+    assert main(["rank", str(big)]) == 0
     assert len(forks) == 1
     capsys.readouterr()
 
 
+@needs_fork
+def test_pipelined_read_forks_no_child_for_more_vertices_than_the_file_holds(
+        tmp_path, capsys, monkeypatch):
+    # the header states 2^31 - 1 vertices and the file is far too short for
+    # them: the parse ends at the divisor's length, with no child sized by n
+    # (a child forked here leaves at once, before it could size its arrays)
+    forks = _counted_forks(monkeypatch, exit_at_once=True)
+    path = tmp_path / "big.txt"
+    path.write_text("n 2147483647\n" + "e 0 1\n" * 20_000 + "d 0 0\n")
+    assert path.stat().st_size > _CHUNK
+    want = _in_process(path, _ARGVS, capsys, monkeypatch)
+    assert _calls(path, _ARGVS, capsys) == want
+    assert {code for code, *_ in want} == {3}
+    assert forks == []
+
+
+# the CLI in a fresh interpreter, pipelining as under _counted_forks; it runs
+# setup first, the forked child runs child first, and the number of forks is
+# printed after the call's own output
+_PIPELINING = """import os, sys, time
+from cactusrank import cli
+from cactusrank.problemfile import _CHUNK
+os.sched_getaffinity = lambda pid: {{0, 1}}
+cli._PIPELINED = _CHUNK
+fork = os.fork
+forks = []
+def counted():
+    forks.append(1)
+    pid = fork()
+    if pid == 0:
+        {child}
+    return pid
+os.fork = counted
+{setup}
+code = cli.main(sys.argv[1:])
+print("forks", len(forks))
+sys.exit(code)"""
+
+
+@needs_fork
 def test_pipelined_read_where_the_system_reaps_children(tmp_path):
     # with SIGCHLD ignored the child is reaped by the system, and the CLI's
     # own wait finds no child: not an error
     text = _big_text(0)
     path = tmp_path / "big.txt"
     path.write_text(text)
-    code = ("import signal, sys; signal.signal(signal.SIGCHLD, signal.SIG_IGN); "
-            "from cactusrank.cli import main; sys.exit(main(sys.argv[1:]))")
-    assert run_fresh(code, "rank", str(path)) == f"{cr.rank(*cr.parse_string(text)).rank}\n"
+    code = _PIPELINING.format(
+        setup="import signal; signal.signal(signal.SIGCHLD, signal.SIG_IGN)", child="pass")
+    assert (run_fresh(code, "rank", str(path))
+            == f"{cr.rank(*cr.parse_string(text)).rank}\nforks 1\n")
 
 
-# the CLI with a forked child that starts 0.3 s late, so that it would
-# outlive a CLI that did not wait for it
-_SLOW_CHILD = """import os, sys, time
-fork = os.fork
-def slow():
-    pid = fork()
-    if pid == 0:
-        time.sleep(0.3)
-    return pid
-os.fork = slow
-from cactusrank.cli import main
-sys.exit(main(sys.argv[1:]))"""
-
-
+@needs_fork
 def test_no_process_outlives_a_cli_call(tmp_path):
     # a process the CLI forked holds every file descriptor the CLI held, so
     # the read end of a pipe whose write end the CLI inherits reaches its end
-    # as soon as the call exits only if no such process is left.  stdout and
-    # stderr go to a file: a pipe there would make run() wait for every holder
+    # as soon as the call exits only if no such process is left; a child
+    # that starts 0.3 s late would outlive a CLI that did not wait for it.
+    # stdout and stderr go to a file: a pipe there would make run() wait for
+    # every holder
     variants = _big_variants()
     path = tmp_path / "big.txt"
     for name, code in (("stored", 0), ("chord then a bad line", 2), ("chord", 4)):
         path.write_bytes(variants[name])
-        for how in (["-m", "cactusrank"], ["-c", _SLOW_CHILD]):
+        for child in ("pass", "time.sleep(0.3)"):
+            how = _PIPELINING.format(setup="", child=child)
             r, w = os.pipe()
             try:
                 with open(tmp_path / "out", "w") as out:
-                    proc = subprocess.run([sys.executable, *how, "rank", str(path)],
+                    proc = subprocess.run([sys.executable, "-c", how, "rank", str(path)],
                                           env=CHILD_ENV, stdout=out, stderr=out,
                                           pass_fds=(w,), timeout=60)
                 os.close(w)
                 w = -1
                 os.set_blocking(r, False)
-                assert (proc.returncode, os.read(r, 1)) == (code, b""), (name, how)
+                assert (proc.returncode, os.read(r, 1)) == (code, b""), (name, child)
+                assert "forks 1\n" in (tmp_path / "out").read_text(), (name, child)
             finally:
                 os.close(r)
                 if w >= 0:

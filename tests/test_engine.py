@@ -454,6 +454,8 @@ def test_parse_then_rank_grows_one_tree(monkeypatch):
     grown.clear()
     h, f = cr.parse_string(text.replace("\nd ", "\ne 0 5\ne 0 5\nd ", 1))
     assert [c is None for c in grown] == [False, True]
+    # the kept verdict holds no frames, which would keep the tree's arrays
+    assert h._scanned.__traceback__ is None
     with pytest.raises(cr.NotCactusError, match=r"edge \(0, 5\)"):
         cr.rank(h, f)
     assert len(grown) == 2
