@@ -2,9 +2,9 @@
 
 Commands: rank, oracle, reduce, rrcheck, check, bes, gen.  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 ok, 1 check-style failure,
-2 usage error, parse error, unreadable input or unwritable output, 3 invalid
-graph (loop, bad id, wrong divisor length, disconnected), 4 not a cactus,
-5 oracle guard exceeded.
+2 usage error, parse error, unreadable input, unwritable output or out of
+memory, 3 invalid graph (loop, bad id, wrong divisor length, disconnected),
+4 not a cactus, 5 oracle guard exceeded.
 
 One table, _COMMANDS, holds each command's handler, whether it reads a
 FILE, its options with their defaults, and its help line; the same table
@@ -257,6 +257,9 @@ def main(argv=None) -> int:
     except GraphError as e:
         print(f"invalid graph: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
+        return 2
     except OSError as e:
         # a handler reads nothing, so once the input is in, an OSError is
         # the output's

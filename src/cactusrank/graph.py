@@ -2,19 +2,15 @@
 
 Vertices are dense integer ids 0..n-1.  Parallel edges are allowed and are
 tracked by multiplicity; loops are rejected at construction.  Graphs are
-immutable once built, derived views (edge pairs, adjacency, degrees) are
-computed lazily and cached.  One traversal, _tree, grows a spanning tree
-from vertex 0 in stored edge order and builds no adjacency unless the edges
-are not in grown order; it serves both the connectivity check and the block
-scan, _scan, which the rank engine and blocks.build_bes read.  Its loop,
-_grow, reads the edges as a sequence of endpoint chunks, so that the CLI's
-pipelined read (see piped) can run it in a child over a stream.  A vertex's
-number is 1 + the index of the tree edge that reached it; the vertices the
-fallback for edges not in grown order reaches are numbered after every
-edge, m + 1, m + 2, ..., and listed in a C int array, late.  The tree grown
-with claims, or the NotCactusError that stopped it, is the graph's scan
-verdict: the connectivity check keeps it on the graph and the block scan
-takes it.  _divisor_degree is the one check of a divisor against a graph.
+immutable once built; derived views (edge pairs, adjacency, degrees and the
+spanning tree) are computed lazily and cached.  The spanning tree, which
+_tree grows from vertex 0 in stored edge order with its cycle claims, is
+the graph's one traversal: it answers the connectivity check, is_connected,
+and the block scan, _scan, which the rank engine and blocks.build_bes read.
+Its stored-order loop, _grow, reads the edges as a sequence of endpoint
+chunks, so that the CLI's pipelined read (see piped) can run it in a child
+over a stream and hand the graph the whole tree.  _divisor_degree is the
+one check of a divisor against a graph.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ class Multigraph:
     the other derived structures are built on first use and cached.
     """
 
-    __slots__ = ("n", "_ends", "_edges", "_adj", "_degrees", "_connected", "_scanned")
+    __slots__ = ("n", "_ends", "_edges", "_adj", "_degrees", "_grown")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         try:
@@ -87,8 +83,7 @@ class Multigraph:
         self._edges = None
         self._adj = None
         self._degrees = None
-        self._connected = None
-        self._scanned = None
+        self._grown = None
 
     @classmethod
     def _from_ends(cls, n: int, ends: array) -> "Multigraph":
@@ -130,20 +125,19 @@ class Multigraph:
             self._degrees = tuple(deg)
         return self._degrees
 
+    @property
+    def _spanning(self) -> "_Tree":
+        """The spanning tree, grown by _tree on first use and kept."""
+        if self._grown is None:
+            self._grown = _tree(self)
+        return self._grown
+
     def is_connected(self) -> bool:
-        """True iff every vertex is reachable from vertex 0.  The tree is
-        grown with claims and kept for the block scan, _scan, to take, so
-        its arrays, about 9 bytes a vertex, stay on g until g is scanned; if
-        it stops at an edge that shows g is not a cactus, that verdict is
-        kept and a tree without claims answers."""
-        if self._connected is None:
-            if self._scanned is None:
-                self._scanned = _claimed_tree(self)
-            if isinstance(self._scanned, NotCactusError):
-                self._connected = -1 not in _tree(self, None)[0]
-            else:
-                self._connected = self._scanned.reached == self.n
-        return self._connected
+        """True iff every vertex is reachable from vertex 0: the spanning
+        tree, _tree's, reached them all.  The tree is kept on g with its
+        cycle claims for the block scan, _scan; its arrays take about 9
+        bytes a vertex for g's life."""
+        return self._spanning.reached == self.n
 
     def __eq__(self, other):
         if not isinstance(other, Multigraph):
@@ -157,23 +151,24 @@ class Multigraph:
         return f"Multigraph(n={self.n}, m={self.num_edges})"
 
 
-def _close(idx, parent, claimed, e: int, u: int, v: int) -> None:
+def _close(idx, parent, claimed, e: int, u: int, v: int):
     """Claim the tree edges of the cycle that edge number e = (u, v) closes,
-    and store -1 - e in its key's parent; see _tree."""
+    and store -1 - e in its key's parent; see _tree.  Returns (u, v) if the
+    walk meets a tree edge claimed already, None otherwise."""
     x, y = u, v
     ix, iy = idx[x], idx[y]
     bx = by = -1  # the last vertex each end stepped from
     while x != y:
         if ix > iy:
             if claimed[x]:
-                raise NotCactusError((u, v))
+                return u, v
             claimed[x] = 1
             bx = x
             x = parent[x]
             ix = idx[x]
         else:
             if claimed[y]:
-                raise NotCactusError((u, v))
+                return u, v
             claimed[y] = 1
             by = y
             y = parent[y]
@@ -181,54 +176,59 @@ def _close(idx, parent, claimed, e: int, u: int, v: int) -> None:
     if bx < 0 or 0 <= by and idx[by] < idx[bx]:
         bx = by
     parent[bx] = -1 - e
+    return None
 
 
 def _grow(n: int, chunks, claimed):
     """The stored-order loop of _tree, over the edges of chunks, a sequence
-    of flat endpoint arrays each holding whole edges: (idx, parent, stop),
-    stop being the index of the first edge with neither end reached, or None
-    if every edge came up with an end reached."""
+    of flat endpoint arrays each holding whole edges: (idx, parent, stop,
+    bad), stop being the index of the first edge with neither end reached,
+    or None if every edge came up with an end reached, and bad the first
+    edge found on a second cycle, or None."""
     idx = array("i", [-1]) * n
     parent = array("i", [-1]) * n
     idx[0] = 0
     e = 0
+    bad = None
     for ends in chunks:
         it = iter(ends)
         for e, u, v in zip(count(e + 1), it, it):
             if idx[u] < 0:
                 if idx[v] < 0:
-                    return idx, parent, e - 1
+                    return idx, parent, e - 1, bad
                 idx[u] = e
                 parent[u] = v
             elif idx[v] < 0:
                 idx[v] = e
                 parent[v] = u
-            elif claimed is not None:
-                _close(idx, parent, claimed, e, u, v)
-    return idx, parent, None
+            elif bad is None:
+                bad = _close(idx, parent, claimed, e, u, v)
+    return idx, parent, None, bad
 
 
-def _tree(g: Multigraph, claimed):
-    """Grow a spanning tree from vertex 0 in stored edge order and return
-    (idx, parent, late, stop): each vertex's number, -1 while unreached, and
-    tree parent, the vertices the fallback below reached, in the order it
-    reached them, and the index of the edge the stored-order loop, _grow,
-    stopped at, m if none.
+def _tree(g: Multigraph) -> "_Tree":
+    """Grow g's spanning tree from vertex 0 in stored edge order, with its
+    cycle claims: each vertex's number, -1 while unreached, and tree parent,
+    the vertices the fallback below reached, in the order it reached them,
+    the index of the edge the stored-order loop, _grow, stopped at, m if
+    none, and the first edge found on a second cycle, if any.
 
     An edge with one end reached is a tree edge: the other end's parent is
     the reached end and its number is 1 + the edge's index, the root's being
     0, so a parent is numbered before its child.  An edge with both ends
-    reached closes a cycle.  With claimed None, as for the connectivity
-    check, a closing edge is skipped.  With claimed a bytearray, as for the
-    block scan, its ends walk up the tree, the one with the larger number
-    first, until they meet at the attachment a, and each step claims a tree
-    edge; one claimed twice lies on two cycles.  The cycles of a cactus are
-    exactly the fundamental cycles of any of its spanning trees, and a
-    connected graph whose fundamental cycles are pairwise edge-disjoint is a
-    cactus (Paton, CACM 1969).  The cycle's key is the first numbered of the
-    one or two vertices just below a, and parent[key] becomes -2 - e for the
-    closing edge e: no later read needs the parent of a claimed vertex, as a
-    walk raises at one before it steps past.  An edge with neither end
+    reached closes a cycle: its ends walk up the tree, the one with the
+    larger number first, until they meet at the attachment a, and each step
+    claims a tree edge; one claimed twice lies on two cycles.  The cycles of
+    a cactus are exactly the fundamental cycles of any of its spanning
+    trees, and a connected graph whose fundamental cycles are pairwise
+    edge-disjoint is a cactus (Paton, CACM 1969).  The cycle's key is the
+    first numbered of the one or two vertices just below a, and parent[key]
+    becomes -2 - e for the closing edge e: no later read needs the parent of
+    a claimed vertex, as a walk stops at one before it steps past.  The
+    first closing edge whose walk meets a claimed tree edge is the tree's
+    bad edge; no walk runs after it, as the blocks of a graph that is not a
+    cactus are never read, but the tree grows to its end, so that its reach
+    answers the connectivity check all the same.  An edge with neither end
     reached means the edges are not in grown order (generate's output and
     the tests' random cacti always are): the loop stops at it, edge stop,
     and the rest of the tree grows from every vertex reached so far over
@@ -243,38 +243,40 @@ def _tree(g: Multigraph, claimed):
     """
     ends = g._ends
     m = len(ends) >> 1
-    idx, parent, stop = _grow(g.n, (ends,), claimed)
+    claimed = bytearray(g.n)
+    idx, parent, stop, bad = _grow(g.n, (ends,), claimed)
     late = array("i")
     if stop is None:
-        return idx, parent, late, m
-    nxt = array("i", [0]) * len(ends)
-    head = array("i", [-1]) * g.n
-    for h in range(2 * stop, len(ends)):
-        v = ends[h]
-        nxt[h] = head[v]
-        head[v] = h
-    done = bytearray(m)
-    stack = [0, *_heads(ends, idx, stop)]
-    push, pop = stack.append, stack.pop
-    number = m
-    while stack:
-        x = pop()
-        h = head[x]
-        while h >= 0:
-            e = h >> 1
-            if not done[e]:
-                done[e] = 1
-                y = ends[h ^ 1]
-                if idx[y] < 0:
-                    number += 1
-                    idx[y] = number
-                    parent[y] = x
-                    late.append(y)
-                    push(y)
-                elif claimed is not None:
-                    _close(idx, parent, claimed, e + 1, ends[h & -2], ends[h | 1])
-            h = nxt[h]
-    return idx, parent, late, stop
+        stop = m
+    else:
+        nxt = array("i", [0]) * len(ends)
+        head = array("i", [-1]) * g.n
+        for h in range(2 * stop, len(ends)):
+            v = ends[h]
+            nxt[h] = head[v]
+            head[v] = h
+        done = bytearray(m)
+        stack = [0, *_heads(ends, idx, stop)]
+        push, pop = stack.append, stack.pop
+        number = m
+        while stack:
+            x = pop()
+            h = head[x]
+            while h >= 0:
+                e = h >> 1
+                if not done[e]:
+                    done[e] = 1
+                    y = ends[h ^ 1]
+                    if idx[y] < 0:
+                        number += 1
+                        idx[y] = number
+                        parent[y] = x
+                        late.append(y)
+                        push(y)
+                    elif bad is None:
+                        bad = _close(idx, parent, claimed, e + 1, ends[h & -2], ends[h | 1])
+                h = nxt[h]
+    return _Tree(ends, idx, parent, late, stop, claimed, g.n - idx.count(-1), bad)
 
 
 def _heads(ends, idx, stop: int, backward: bool = False):
@@ -293,55 +295,42 @@ def _heads(ends, idx, stop: int, backward: bool = False):
             yield v
 
 
-def _claimed_tree(g: Multigraph):
-    """g's tree grown with claims, as _Blocks, or the NotCactusError that
-    stopped it."""
-    claimed = bytearray(g.n)
-    try:
-        return _Blocks(g._ends, *_tree(g, claimed), claimed)
-    except NotCactusError as e:
-        # kept on g: its traceback would keep the tree's arrays alive
-        return e.with_traceback(None)
-
-
-def _scan(g: Multigraph) -> "_Blocks":
+def _scan(g: Multigraph) -> "_Tree":
     """Check that g is a connected cactus and return its blocks, a stream
     that can be read more than once, of (kind, vs) for each block in
     elimination order: kind 0 and vs = (parent, child) for a bridge, kind 1
     and vs the cycle's vertices in ring order for a cycle, the attachment
-    first.  Raises NotCactusError, naming as stored an edge that closes a
-    second cycle through some tree edge, or DisconnectedGraphError, before
-    it returns.  The first pass is _tree's, unless g already holds its
-    verdict, which the scan then takes; each read of the stream runs the
-    second, _unwind, over the same tree.
+    first.  Raises NotCactusError, naming as stored the first edge found on
+    a second cycle, or else DisconnectedGraphError, before it returns.  The
+    first pass is the spanning tree g keeps, grown by _tree on first use;
+    each read of the stream runs the second, _unwind, over it.
     """
-    blocks, g._scanned = g._scanned, None
-    if blocks is None:
-        blocks = _claimed_tree(g)
-    if isinstance(blocks, NotCactusError):
-        raise blocks
-    if blocks.reached != g.n:
+    tree = g._spanning
+    if tree.bad is not None:
+        raise NotCactusError(tree.bad)
+    if tree.reached != g.n:
         raise DisconnectedGraphError(
-            f"graph is disconnected ({blocks.reached} of {g.n} vertices reachable)"
+            f"graph is disconnected ({tree.reached} of {g.n} vertices reachable)"
         )
-    return blocks
+    return tree
 
 
-class _Blocks:
-    """The blocks of a scanned graph, whose tree reached .reached vertices:
-    each iteration runs _unwind afresh."""
+class _Tree:
+    """A spanning tree as _tree grows it, which reached .reached vertices
+    and found .bad on a second cycle, or None; see _tree for the rest.  Its
+    iterations are the blocks, each running _unwind afresh."""
 
-    __slots__ = ("_args", "reached")
+    __slots__ = ("ends", "idx", "parent", "late", "stop", "claimed", "reached", "bad")
 
-    def __init__(self, ends, idx, parent, late, stop, claimed, reached=None):
-        self._args = ends, idx, parent, late, stop, claimed
-        self.reached = len(idx) - idx.count(-1) if reached is None else reached
+    def __init__(self, ends, idx, parent, late, stop, claimed, reached, bad):
+        self.ends, self.idx, self.parent, self.late = ends, idx, parent, late
+        self.stop, self.claimed, self.reached, self.bad = stop, claimed, reached, bad
 
     def __iter__(self):
-        return _unwind(*self._args)
+        return _unwind(self)
 
 
-def _unwind(ends, idx, parent, late, stop, claimed):
+def _unwind(tree: _Tree):
     """The second pass of _scan, which only reads the tree: the vertices in
     reverse discovery order, which is reversed(late), then the end each tree
     edge reached, from the stop edge down.  An unclaimed vertex yields its
@@ -350,7 +339,8 @@ def _unwind(ends, idx, parent, late, stop, claimed):
     key, the other at the attachment a.  Every block hanging below a cycle,
     and every other vertex of the cycle, is reached after its key, so this
     is an elimination order."""
-    for x in chain(reversed(late), _heads(ends, idx, stop, True)):
+    ends, idx, parent, claimed = tree.ends, tree.idx, tree.parent, tree.claimed
+    for x in chain(reversed(tree.late), _heads(ends, idx, tree.stop, True)):
         p = parent[x]
         if not claimed[x]:
             yield 0, (p, x)

@@ -43,7 +43,6 @@ from collections import deque
 from typing import Callable, NamedTuple, Sequence
 
 from .graph import (
-    Divisor,
     DisconnectedGraphError,
     Multigraph,
     OracleLimitError,
@@ -252,9 +251,7 @@ def rr_check(g: Multigraph, f: Sequence[int], rank_fn: Callable) -> bool:
     """Check the rank duality identity
     rank(f) - rank(K - f) == degree(f) - genus + 1
     where K is the canonical divisor.  rank_fn(g, divisor) -> int supplies
-    both ranks (fast engine for cacti, oracle_rank otherwise)."""
-    fd = Divisor(f)
-    k = canonical_divisor(g)
-    lhs = rank_fn(g, fd) - rank_fn(g, k - fd)
-    rhs = degree(fd) - genus(g) + 1
-    return lhs == rhs
+    both ranks (fast engine for cacti, oracle_rank otherwise); K - f is
+    built only for its call, and no copy of f is made."""
+    lhs = rank_fn(g, f) - rank_fn(g, canonical_divisor(g) - f)
+    return lhs == degree(f) - genus(g) + 1

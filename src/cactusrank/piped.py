@@ -9,22 +9,18 @@ at the first run that knows n, unless n is more than the file could hold
 (its divisor line alone takes more than 2n bytes), so that the child, which
 sizes its arrays by n, about 9 bytes a vertex, never allocates more than a
 few times the file's size.  After each run's checks the run's new endpoints
-go to it as raw C ints over a pipe.  It grows the tree with claims over
-that stream, in the graph module's stored-order loop, _grow, and answers on
-a second pipe with one of
-
-  _TREE        the number of vertices reached, then idx, parent and claimed;
-  _NOT_CACTUS  the edge that closes a second cycle through a tree edge;
-  _NOT_GROWN   an edge came with neither end reached.
-
-The first two become the graph's scan verdict (Multigraph._scanned), which
-the block scan and is_connected read, so NotCactusError and
-DisconnectedGraphError are raised where, and as, they are in-process.  On
-_NOT_GROWN, or when the child fails, the scan grows the tree in this
-process.  A parse error is raised before the verdict is read.  The child
-reads the stream to its end whatever it finds, imports nothing, writes
-nothing to stdio and leaves by os._exit; the parent closes both pipes and
-reaps it before it returns or raises.
+go to it as raw C ints over a pipe.  It grows the tree over that stream in
+the graph module's stored-order loop, _grow, as the in-process scan does,
+and answers on a second pipe with three C ints, the number of vertices
+reached and the first edge found on a second cycle, -1 -1 if none, then
+idx, parent and claimed: the whole tree, which the graph keeps as if _tree
+had grown it, so that is_connected and the block scan read it.  If an edge
+comes with neither end reached, the child leaves at once with no answer
+and the parent stops sending; then, or when the child fails, the scan grows
+the tree in this process.  A parse error is raised before the answer is
+read.  The child imports nothing, writes nothing to stdio and leaves by
+os._exit; the parent closes both pipes and reaps it before it returns or
+raises.
 """
 
 from __future__ import annotations
@@ -32,10 +28,9 @@ from __future__ import annotations
 import os
 from array import array
 
-from .graph import NotCactusError, _Blocks, _grow
+from .graph import _grow, _Tree
 from .problemfile import _parse
 
-_TREE, _NOT_CACTUS, _NOT_GROWN = range(3)
 # the most the child reads at a time: a pipe's default capacity on Linux
 _READ = 1 << 16
 
@@ -43,14 +38,14 @@ _READ = 1 << 16
 def parse_file(path: str):
     """(Multigraph, Divisor) for the problem file at path, as
     problemfile.parse_file(path, check_connected=False) gives them, the
-    graph holding the child's verdict."""
+    graph holding the child's tree."""
     with open(path, "rb") as fh:
         # a file that parses holds more than 2n bytes: "d" and " c" for each
         # of the divisor's n entries
         child = _Child(os.fstat(fh.fileno()).st_size // 2)
         try:
             g, f = _parse(fh, False, child.send)
-            child.verdict(g)
+            child.answer_to(g)
         finally:
             child.close()
     return g, f
@@ -79,7 +74,7 @@ class _Child:
         if self.data >= 0:
             try:
                 _write(self.data, ends[new:])
-            except OSError:  # the child is gone: the scan grows the tree here
+            except OSError:  # the child has left: the scan grows the tree here
                 self._close_data()
 
     def _fork(self, n: int) -> None:
@@ -101,25 +96,22 @@ class _Child:
         os.close(answer_w)
         self.pid, self.data, self.answer = pid, data_w, answer_r
 
-    def verdict(self, g) -> None:
-        """Mark the end of the stream, read the child's answer and store the
-        verdict it gives on g; store nothing if the child failed."""
+    def answer_to(self, g) -> None:
+        """Mark the end of the stream, read the child's answer and keep the
+        tree it sends on g; keep nothing if the child sent none."""
         if self.answer < 0:
             return
         self._close_data()
         head = array("i", [0]) * 3
         if not _fill(self.answer, head):
             return
-        kind, a, b = head
-        if kind == _NOT_CACTUS:
-            g._scanned = NotCactusError((a, b))
-        elif kind == _TREE:
-            idx = array("i", [0]) * g.n
-            parent = array("i", [0]) * g.n
-            claimed = bytearray(g.n)
-            if all(_fill(self.answer, buf) for buf in (idx, parent, claimed)):
-                g._scanned = _Blocks(g._ends, idx, parent, array("i"), g.num_edges,
-                                     claimed, a)
+        reached, u, v = head
+        idx = array("i", [0]) * g.n
+        parent = array("i", [0]) * g.n
+        claimed = bytearray(g.n)
+        if all(_fill(self.answer, buf) for buf in (idx, parent, claimed)):
+            g._grown = _Tree(g._ends, idx, parent, array("i"), g.num_edges, claimed,
+                             reached, None if u < 0 else (u, v))
 
     def _close_data(self) -> None:
         if self.data >= 0:
@@ -142,22 +134,16 @@ class _Child:
 
 def _serve(n: int, data: int, answer: int) -> None:
     """The child: grow the tree over the endpoints read from fd data, send
-    the verdict on fd answer, and leave by os._exit, never returning."""
+    it on fd answer unless the edges were not in grown order, and leave by
+    os._exit, never returning."""
     code = 1
     try:
-        chunks = _chunks(data)
         claimed = bytearray(n)
-        try:
-            idx, parent, stop = _grow(n, chunks, claimed)
-        except NotCactusError as e:
-            out = [array("i", (_NOT_CACTUS, *e.edge))]
-        else:
-            out = ([array("i", (_NOT_GROWN, 0, 0))] if stop is not None else
-                   [array("i", (_TREE, n - idx.count(-1), 0)), idx, parent, claimed])
-        for _ in chunks:  # the rest of the stream, unread by the tree
-            pass
-        for buf in out:
-            _write(answer, buf)
+        idx, parent, stop, bad = _grow(n, _chunks(data), claimed)
+        if stop is None:
+            head = array("i", (n - idx.count(-1), *(bad or (-1, -1))))
+            for buf in (head, idx, parent, claimed):
+                _write(answer, buf)
         code = 0
     finally:
         os._exit(code)

@@ -259,9 +259,9 @@ def _parse(fh, check_connected: bool, hook=None):
 def parse_string(text: str, *, check_connected: bool = True):
     """Parse problem-file text into (Multigraph, Divisor).
 
-    check_connected=False skips the connectivity pass; callers that feed the
-    graph straight into the block scan (which detects disconnection itself)
-    use this to avoid touching every edge twice.
+    check_connected=False leaves connectivity to the caller.  The check
+    grows the graph's spanning tree, which the graph keeps, and the block
+    scan raises DisconnectedGraphError from that same tree.
     """
     return _parse(io.BytesIO(text.encode("utf-8", "surrogatepass")), check_connected)
 

@@ -33,3 +33,30 @@ def no_child_outlives_a_test():
     except ChildProcessError:
         return
     pytest.fail(f"a child process outlived the test ({'running' if pid == 0 else pid})")
+
+
+def _open_fds() -> dict:
+    # descriptor: what it names.  The one that lists /proc/self/fd is closed
+    # by the time it would be read, and is left out
+    fds = {}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            fds[int(fd)] = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            pass
+    return fds
+
+
+@pytest.fixture(autouse=True)
+def no_descriptor_outlives_a_test():
+    """Fails a test after which this process holds a file descriptor it did
+    not hold before, as the pipelined read's pipes would be if it left one
+    open.  Off where /proc/self/fd is absent."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = _open_fds()
+    yield
+    left = {fd: path for fd, path in _open_fds().items() if fd not in before}
+    if left:
+        pytest.fail(f"file descriptors outlived the test: {left}")

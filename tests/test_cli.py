@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -283,6 +284,35 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout == "0\n"
 
 
+# the peak address space of an interpreter that has loaded every module a
+# command can load, in kB
+_VM_PEAK = """import re, cactusrank.cli, cactusrank.engine, cactusrank.generator, cactusrank.piped
+print(re.search(r"VmPeak:\\s*(\\d+) kB", open("/proc/self/status").read())[1])"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_out_of_memory_is_one_line_and_exit_code_2(tmp_path):
+    # under an address-space limit 8 MB above what start-up and the imports
+    # take, set in the CLI's process alone, a 2^20-vertex file and a
+    # 2^20-vertex gen run out of memory: one line on stderr, exit code 2
+    import resource
+
+    limit = (int(run_fresh(_VM_PEAK)) + 8 * 1024) * 1024
+    n = 1 << 20
+    path = tmp_path / "path.txt"
+    with open(path, "w") as fh:
+        fh.write(f"n {n}\n")
+        fh.writelines(f"e {i} {i + 1}\n" for i in range(n - 1))
+        fh.write("d" + " 0" * n + "\n")
+    for argv in (["rank", str(path)], ["gen", "--vertices", str(n)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cactusrank", *argv], env=CHILD_ENV,
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (proc.returncode, proc.stderr.count("\n")) == (2, 1), (argv, proc.stderr)
+        assert proc.stderr.startswith("out of memory: "), (argv, proc.stderr)
+
+
 def test_rank_reads_a_path_naming_a_pipe():
     proc = subprocess.run(
         [sys.executable, "-m", "cactusrank", "rank", "/dev/stdin"],
@@ -342,13 +372,13 @@ def _big_text(degree: int, seed: int = 3) -> str:
 def _big_variants() -> dict:
     """name: file bytes.  The chord runs parallel to an edge of a cycle of
     three or more vertices, so it closes a second cycle through that edge;
-    it and the other edits sit near the end, after the first runs went to
-    the child."""
+    it is the last edge, and it and the other edits sit near the end, after
+    the first runs went to the child."""
     text = _big_text(_BIG_CYCLES - 1)
     head, *edges, divisor = text.splitlines(keepends=True)
     g, _ = cr.parse_string(text)
     a, b = next(vs for kind, vs in graph._scan(g) if kind == 1 and len(vs) > 2)[:2]
-    chord = [*edges[:-10], f"e {a} {b}\n", *edges[-10:]]
+    chord = [*edges, f"e {a} {b}\n"]
     n = int(head.split()[1])
     variants = {
         "stored": text,
@@ -421,20 +451,53 @@ def test_pipelined_read_matches_the_in_process_read(tmp_path, capsys, monkeypatc
     assert codes == {0, 2, 3, 4}
 
 
+def _kept(tree) -> tuple:
+    return (tree.idx, tree.parent, tree.late, tree.stop, tree.claimed, tree.reached,
+            tree.bad)
+
+
 @needs_fork
 def test_pipelined_read_verdicts(tmp_path):
-    # what the child found is on the graph for the scan to take; on
-    # shuffled edges it found an edge with neither end reached, and the
-    # scan grows the tree in this process
+    # the child sends the whole tree, the one _tree grows in this process,
+    # and the graph keeps it: on the chord, the tree's bad edge is the
+    # chord.  On shuffled edges the child meets an edge with neither end
+    # reached and sends nothing, and the scan grows the tree in this process
     path = tmp_path / "big.txt"
     variants = _big_variants()
-    for name, verdict in (("stored", graph._Blocks), ("chord", cr.NotCactusError),
-                          ("isolated vertex", graph._Blocks),
-                          ("shuffled edges", type(None))):
+    chord = tuple(map(int, variants["chord"].splitlines()[-2].split()[1:]))
+    for name, bad in (("stored", None), ("chord", chord), ("isolated vertex", None),
+                      ("shuffled edges", None)):
         path.write_bytes(variants[name])
         g, f = piped.parse_file(str(path))
-        assert type(g._scanned) is verdict, name
-        assert (g, f) == cr.parse_string(variants[name].decode(), check_connected=False)
+        h, f_in = cr.parse_string(variants[name].decode(), check_connected=False)
+        assert (g, f) == (h, f_in), name
+        grown = graph._tree(h)
+        assert grown.bad == bad, name
+        if name == "shuffled edges":
+            assert g._grown is None
+        else:
+            assert _kept(g._grown) == _kept(grown), name
+
+
+@needs_fork
+def test_rrcheck_on_a_pipelined_file_grows_no_tree_here(tmp_path, capsys, monkeypatch):
+    # the child's tree answers the cactus check, both ranks and the genus;
+    # read in this process, the file's graph grows one tree
+    forks = _counted_forks(monkeypatch)
+    grown = []
+    tree = graph._tree
+
+    def counted(g):
+        grown.append(g)
+        return tree(g)
+
+    monkeypatch.setattr(graph, "_tree", counted)
+    path = tmp_path / "big.txt"
+    path.write_text(_big_text(_BIG_CYCLES - 1))
+    assert main(["rrcheck", str(path)]) == 0
+    assert (capsys.readouterr().out, len(forks), grown) == ("OK\n", 1, [])
+    assert _in_process(path, [["rrcheck"]], capsys, monkeypatch) == [(0, "OK\n", "")]
+    assert len(grown) == 1
 
 
 @needs_fork
@@ -592,6 +655,35 @@ def test_exit_code_contract_on_arbitrary_bytes(tmp_path, capsys, data):
         assert code in (0, 2, 3, 4, 5), (command, data, code)
         if code:
             assert err.endswith("\n") and err.count("\n") == 1, (command, data, err)
+
+
+# seeds above one run of the parse, the pipelined read's files, and edits
+# anywhere in them, of any bytes, of digits or of the file format's bytes.
+# Hypothesis favours small integers: a multiplicative hash spreads the
+# positions over the file
+_BIG_SEEDS = functools.cache(lambda: list(_big_variants().values()))
+_BIG_EDITS = st.lists(st.tuples(
+    st.integers(0, 2), st.integers(0, 1 << 17).map(lambda x: x * 2654435761 % (1 << 17)),
+    st.one_of(st.binary(min_size=1, max_size=3),
+              st.text("0123456789", min_size=1, max_size=3).map(str.encode),
+              st.text("0123456789 -\nde", min_size=1, max_size=3).map(str.encode)),
+), max_size=4)
+
+
+@needs_fork
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 6), _BIG_EDITS)
+def test_pipelined_read_matches_the_in_process_read_on_mutated_files(
+        tmp_path, capsys, monkeypatch, seed, edits):
+    data = _mutate(_BIG_SEEDS()[seed], edits)
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(data)
+    argvs = (["rank"], ["check"], ["bes"], ["rrcheck"])
+    with monkeypatch.context() as m:
+        _counted_forks(m)
+        got = _calls(path, argvs, capsys)
+        assert got == _in_process(path, argvs, capsys, m), (seed, edits)
 
 
 # what argv tokens are drawn from: every command and option name, spelled

@@ -411,13 +411,14 @@ def test_funnel_reads_k_minus_f_without_building_it():
 
 def test_rank_grows_one_tree_per_call(monkeypatch):
     # both no-charge tests and the path DP read the one scan that rank
-    # makes, so a call grows one spanning tree at every degree, traced or not
+    # makes, and the graph keeps its tree, so an untraced and a traced call
+    # on one graph grow one spanning tree together, at every degree
     grown = []
     tree = graph._tree
 
-    def counted(g, claimed):
-        grown.append(claimed)
-        return tree(g, claimed)
+    def counted(g):
+        grown.append(g)
+        return tree(g)
 
     monkeypatch.setattr(graph, "_tree", counted)
     for seed in range(6):
@@ -425,15 +426,15 @@ def test_rank_grows_one_tree_per_call(monkeypatch):
             g, f = cr.generate(cr.GeneratorParams(
                 vertices=60, cycles=12, max_cycle_len=5, divisor_degree=deg, seed=seed))
             assert g.num_edges - g.n + 1 == 12
-            for trace in (False, True):
-                grown.clear()
-                cr.rank(g, f, trace=trace)
-                assert len(grown) == 1 and grown[0] is not None, (seed, deg, trace, grown)
+            grown.clear()
+            want = cr.rank(g, f, trace=False).rank
+            assert cr.rank(g, f, trace=True).rank == want
+            assert len(grown) == 1 and grown[0] is g, (seed, deg, grown)
 
 
 def test_parse_then_rank_grows_one_tree(monkeypatch):
-    # parse_string checks connectivity by growing the tree with claims, and
-    # keeps it on the graph for the block scan that rank then runs
+    # parse_string checks connectivity by growing the tree with its cycle
+    # claims, and keeps it on the graph for the block scan that rank runs
     g, f = cr.generate(cr.GeneratorParams(
         vertices=4096, cycles=512, max_cycle_len=8, divisor_degree=1022, seed=3))
     text = cr.serialize(g, f)
@@ -441,24 +442,25 @@ def test_parse_then_rank_grows_one_tree(monkeypatch):
     grown = []
     tree = graph._tree
 
-    def counted(g, claimed):
-        grown.append(claimed)
-        return tree(g, claimed)
+    def counted(g):
+        grown.append(g)
+        return tree(g)
 
     monkeypatch.setattr(graph, "_tree", counted)
     h, f = cr.parse_string(text)
     assert cr.rank(h, f).rank == want
-    assert len(grown) == 1 and grown[0] is not None
-    # a graph that is not a cactus keeps that verdict, and a tree without
-    # claims answers the connectivity check
+    assert len(grown) == 1 and grown[0] is h
+    # on a graph that is not a cactus the same tree, grown to its end,
+    # answers the connectivity check and names the edge on a second cycle
+    # to every scan
     grown.clear()
     h, f = cr.parse_string(text.replace("\nd ", "\ne 0 5\ne 0 5\nd ", 1))
-    assert [c is None for c in grown] == [False, True]
-    # the kept verdict holds no frames, which would keep the tree's arrays
-    assert h._scanned.__traceback__ is None
-    with pytest.raises(cr.NotCactusError, match=r"edge \(0, 5\)"):
-        cr.rank(h, f)
-    assert len(grown) == 2
+    assert len(grown) == 1 and grown[0] is h and h.is_connected()
+    for _ in range(2):
+        with pytest.raises(cr.NotCactusError, match=r"edge \(0, 5\)") as raised:
+            cr.rank(h, f)
+        assert raised.value.edge == (0, 5)
+    assert len(grown) == 1
 
 
 def _random_states(rng, k, size):
