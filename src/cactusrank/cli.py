@@ -21,7 +21,8 @@ FILE that is a regular file of more than _PIPELINED bytes is read by the
 pipelined reader, piped, when os.fork exists and the process may run on two
 CPUs or more: a forked child grows the spanning tree while this process
 parses.  Every other FILE is parsed in this process, and a call that reads
-one does not import piped.
+one does not import piped.  Either read hands the handler the graph and the
+divisor as a plain tuple of ints, built once: no Divisor is made.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import sys
 from stat import S_ISREG
 
 from .graph import GraphError, NotCactusError, OracleLimitError, is_cactus
-from .problemfile import ParseError, _text_runs, parse_file
+from .problemfile import ParseError, _parse_file, _text_runs
 
 
 def _cmd_rank(g, f, trace) -> int:
@@ -162,11 +163,12 @@ _PIPELINED = 1 << 19
 def _read(path: str, scans: bool):
     """The graph and divisor in the file at path, its connectivity left to
     the command, which scans the blocks if scans (see the module docstring
-    for the pipelined read)."""
+    for the pipelined read).  The divisor is a plain tuple of ints, built
+    once; every handler takes any sequence of ints."""
     if scans and _pipelined(path):
         from .piped import parse_file as read
         return read(path)
-    return parse_file(path, check_connected=False)
+    return _parse_file(path, False)
 
 
 def _pipelined(path: str) -> bool:

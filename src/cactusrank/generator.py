@@ -185,4 +185,7 @@ def generate(params: GeneratorParams) -> tuple[Multigraph, Divisor]:
     step = 1 if diff > 0 else -1
     for d in islice(draws, abs(diff)):
         vals[d % n] += step
+    # the list goes before the Divisor is made: Divisor(list) would gather
+    # the values in a tuple and copy that, three copies at once
+    vals = tuple(vals)
     return Multigraph._from_ends(n, ends), Divisor(vals)

@@ -374,7 +374,11 @@ class Divisor(tuple):
     """Integer chip counts, one per vertex.
 
     A thin tuple subclass: hashable, comparable, with elementwise arithmetic.
-    Plain + and - act coordinatewise (NOT tuple concatenation).
+    Plain + and - act coordinatewise (NOT tuple concatenation).  Every
+    function that takes a divisor takes any sequence of ints.  A Divisor is
+    made only where the library returns one, as parse_file and generate
+    do: making one copies a plain tuple of its entries, so the CLI hands
+    its handlers the plain tuple it read.
     """
 
     __slots__ = ()

@@ -44,11 +44,11 @@ from typing import Callable, NamedTuple, Sequence
 
 from .graph import (
     DisconnectedGraphError,
+    GraphError,
     Multigraph,
     OracleLimitError,
     _divisor_degree,
     _vertex,
-    canonical_divisor,
     degree,
     genus,
 )
@@ -251,7 +251,10 @@ def rr_check(g: Multigraph, f: Sequence[int], rank_fn: Callable) -> bool:
     """Check the rank duality identity
     rank(f) - rank(K - f) == degree(f) - genus + 1
     where K is the canonical divisor.  rank_fn(g, divisor) -> int supplies
-    both ranks (fast engine for cacti, oracle_rank otherwise); K - f is
-    built only for its call, and no copy of f is made."""
-    lhs = rank_fn(g, f) - rank_fn(g, canonical_divisor(g) - f)
+    both ranks (fast engine for cacti, oracle_rank otherwise).  K - f is a
+    plain tuple, built in one pass over g.degrees and f only for its call,
+    and no copy of f is made."""
+    if len(f) != g.n:
+        raise GraphError("divisor length mismatch")
+    lhs = rank_fn(g, f) - rank_fn(g, tuple(d - 2 - c for d, c in zip(g.degrees, f)))
     return lhs == degree(f) - genus(g) + 1

@@ -4,7 +4,8 @@ forked child grows its spanning tree.
 The CLI reads a FILE this way for a command that scans the graph when the
 FILE is a regular file of more than cli._PIPELINED bytes, os.fork exists
 and the process may run on at least two CPUs; no other call loads this
-module.  The parse is problemfile's, with every check.  The child is forked
+module.  The parse is problemfile's, with every check, and like the CLI's
+in-process read it returns the divisor as a plain tuple.  The child is forked
 at the first run that knows n, unless n is more than the file could hold
 (its divisor line alone takes more than 2n bytes), so that the child, which
 sizes its arrays by n, about 9 bytes a vertex, never allocates more than a
@@ -36,9 +37,9 @@ _READ = 1 << 16
 
 
 def parse_file(path: str):
-    """(Multigraph, Divisor) for the problem file at path, as
-    problemfile.parse_file(path, check_connected=False) gives them, the
-    graph holding the child's tree."""
+    """(Multigraph, chips) for the problem file at path, as the CLI's
+    in-process read, problemfile._parse_file(path, False), gives them: the
+    chips a plain tuple, the graph holding the child's tree."""
     with open(path, "rb") as fh:
         # a file that parses holds more than 2n bytes: "d" and " c" for each
         # of the divisor's n entries

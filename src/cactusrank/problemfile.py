@@ -22,6 +22,10 @@ file or of str input's UTF-8, is a ParseError before any other error.  On an
 error the rest of the file is checked with isascii(), so that a non-ASCII
 byte on a later line is the error reported; only when there is one are the
 lines read again, up to that byte, to number its line.
+
+The divisor line is read into a plain tuple, built once.  parse_file and
+parse_string copy it into the Divisor they return; the CLI reads through
+_parse_file, parse_file's reader, and keeps the plain tuple.
 """
 
 from __future__ import annotations
@@ -145,10 +149,11 @@ def _entries(span: str) -> list:
     return list(map(int, span.split()))
 
 
-def _divisor(line: str, lineno: int, n: int) -> Divisor:
-    # split a run at a time; a space never falls inside an entry
+def _divisor(line: str, lineno: int, n: int) -> tuple:
+    # split a run at a time; a space never falls inside an entry.  A plain
+    # tuple: a Divisor would gather the entries in one and then copy it
     try:
-        divisor = Divisor(chain.from_iterable(
+        divisor = tuple(chain.from_iterable(
             _entries(line[lo:hi]) for lo, hi in _spans(line, 1, " ")))
     except ValueError:
         raise ParseError("divisor entries must be integers", lineno) from None
@@ -256,6 +261,23 @@ def _parse(fh, check_connected: bool, hook=None):
     return g, f
 
 
+def _parse_file(source: Union[str, BinaryIO, TextIO], check_connected: bool):
+    """parse_file's reader: (Multigraph, chips), the chips a plain tuple."""
+    if not hasattr(source, "read"):
+        with open(source, "rb") as fh:
+            return _parse_file(fh, check_connected)
+    if isinstance(source.read(0), str):
+        source = _encoded(source.read())
+    elif not source.seekable():
+        source = io.BytesIO(source.read())
+    return _parse(source, check_connected)
+
+
+def _encoded(text: str) -> io.BytesIO:
+    # a lone surrogate gets through the encoding, to fail the ASCII check
+    return io.BytesIO(text.encode("utf-8", "surrogatepass"))
+
+
 def parse_string(text: str, *, check_connected: bool = True):
     """Parse problem-file text into (Multigraph, Divisor).
 
@@ -263,22 +285,16 @@ def parse_string(text: str, *, check_connected: bool = True):
     grows the graph's spanning tree, which the graph keeps, and the block
     scan raises DisconnectedGraphError from that same tree.
     """
-    return _parse(io.BytesIO(text.encode("utf-8", "surrogatepass")), check_connected)
+    return parse_file(_encoded(text), check_connected=check_connected)
 
 
 def parse_file(source: Union[str, BinaryIO, TextIO], *, check_connected: bool = True):
-    """Parse a path or an open stream (text or binary).  A path opens as a
-    binary stream.  A seekable binary stream, a regular file's included, is
-    read a run at a time from its current position; any other stream, such
-    as a pipe's, is read whole first."""
-    if not hasattr(source, "read"):
-        with open(source, "rb") as fh:
-            return parse_file(fh, check_connected=check_connected)
-    if isinstance(source.read(0), str):
-        return parse_string(source.read(), check_connected=check_connected)
-    if not source.seekable():
-        source = io.BytesIO(source.read())
-    return _parse(source, check_connected)
+    """Parse a path or an open stream (text or binary) into (Multigraph,
+    Divisor).  A path opens as a binary stream.  A seekable binary stream,
+    a regular file's included, is read a run at a time from its current
+    position; any other stream, such as a pipe's, is read whole first."""
+    g, chips = _parse_file(source, check_connected)
+    return g, Divisor(chips)
 
 
 # serialize() fills this many copies of a line's format per % operation

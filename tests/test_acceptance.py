@@ -257,19 +257,25 @@ def test_band_quarters_linear_time(tmp_path):
 
 def test_rank_peak_rss(tmp_path):
     # criterion 6's file at 2^20 is 21 MB.  The parse reads it a run at a
-    # time into one endpoint array and the divisor, and the engine folds in
-    # the block scan's blocks as they come, so neither the file's bytes nor
-    # the elimination scheme is held; on a 2-vCPU Xeon VM (CPython 3.11.7)
-    # the peak measured 48 MB (47.0 MB with the pipelined read, whose forked
-    # child is reaped before exit and so counted), against 64 MB with the
-    # whole file read and the scheme stored in typed arrays, 80 MB with a
-    # copy of the divisor, a far-end array and a list behind the divisor, and
-    # 176 MB with lists of ints.  The same file with CRLF line ends is read line by line, and
-    # with a comment on top its edge lines still go by the C route a run at
-    # a time; both measured 47-48 MB, against 50 MB when either sent the
-    # whole file to a separate line parser, 69 MB with the file's bytes held,
-    # 90 MB with a decoded copy of the whole file too and 197 MB with every
-    # line held at once.
+    # time into one endpoint array and the divisor, a plain tuple built
+    # once, and the engine folds in the block scan's blocks as they come,
+    # so neither the file's bytes nor the elimination scheme is held; the
+    # peak is the tree's arrival after the read.  On a 2-vCPU Xeon VM
+    # (CPython 3.11.7) it measured 40.9-41.1 MB, against 46.9 MB with the
+    # divisor built as a Divisor (gathered in a tuple, then copied), 48 MB
+    # before the pipelined read, whose forked child is reaped before exit
+    # and so counted, 64 MB with the whole file read and the scheme stored
+    # in typed arrays, 80 MB with a copy of the divisor, a far-end array and
+    # a list behind the divisor, and 176 MB with lists of ints.  The same
+    # file with CRLF line ends is read line by line, and with a comment on
+    # top its edge lines still go by the C route a run at a time; they
+    # measured 40.2-40.3 and 40.9-41.0 MB, against 46.4-47.0 MB with the
+    # Divisor copy, 50 MB when either sent the whole file to a separate
+    # line parser, 69 MB with the file's bytes held, 90 MB with a decoded
+    # copy of the whole file too and 197 MB with every line held at once.
+    # rrcheck adds K - f, a plain tuple built in one pass, and the degrees
+    # it is built from: 57.3 MB, against 81.1-81.2 MB when K and K - f were
+    # each a Divisor built through a temporary tuple.
     n = 2 ** 20
     cycles = n // 8
     path = tmp_path / "bench_20.txt"
@@ -279,14 +285,16 @@ def test_rank_peak_rss(tmp_path):
                         "--divisor-degree", str(2 * cycles - 2), "--seed", "101"],
                        stdout=fh, env=CHILD_ENV, check=True)
     peak = cli_peak_rss_mb("rank", str(path))
-    assert peak < 52, f"peak RSS {peak:.1f} MB"
+    assert peak < 44, f"peak RSS {peak:.1f} MB"
+    peak = cli_peak_rss_mb("rrcheck", str(path))
+    assert peak < 64, f"rrcheck peak RSS {peak:.1f} MB"
     crlf = tmp_path / "bench_20_crlf.txt"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     commented = tmp_path / "bench_20_comment.txt"
     commented.write_bytes(b"# c\n" + path.read_bytes())
     for name, variant in (("CRLF line ends", crlf), ("a comment first", commented)):
         peak = cli_peak_rss_mb("rank", str(variant))
-        assert peak < 52, f"peak RSS {peak:.1f} MB with {name}"
+        assert peak < 44, f"peak RSS {peak:.1f} MB with {name}"
 
 
 def test_shuffled_edges_at_scale(tmp_path):

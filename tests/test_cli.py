@@ -471,6 +471,9 @@ def test_pipelined_read_verdicts(tmp_path):
         g, f = piped.parse_file(str(path))
         h, f_in = cr.parse_string(variants[name].decode(), check_connected=False)
         assert (g, f) == (h, f_in), name
+        # both of the CLI's reads hand over the divisor they built, a plain
+        # tuple; the library copies it into a Divisor
+        assert type(f) is type(cli._read(str(path), False)[1]) is tuple, name
         grown = graph._tree(h)
         assert grown.bad == bad, name
         if name == "shuffled edges":

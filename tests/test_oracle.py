@@ -337,6 +337,11 @@ def test_rank_duality_via_oracle():
     assert cr.rr_check(k4(), [2, 0, 0, 0], cr.oracle_rank)
     assert cr.rr_check(cycle_graph(4), [1, -1, 2, 0], cr.oracle_rank)
     assert cr.rr_check(path_graph(4), [0, 1, 0, -1], cr.oracle_rank)
+    # K - f is zipped from g's degrees and f: an f of another length is
+    # refused, not cut short, even with a rank function that takes it
+    for f in ([1, 0, 0], [1, 0, 0, 0, 0]):
+        with pytest.raises(cr.GraphError, match="divisor length mismatch"):
+            cr.rr_check(cycle_graph(4), f, lambda g, f: 0)
 
 
 @settings(max_examples=40, deadline=None)

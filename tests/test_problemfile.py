@@ -73,6 +73,8 @@ def test_parse_file_path_and_stream(tmp_path):
     g2, f2 = cr.parse_file(io.StringIO(CANON))
     g3, f3 = cr.parse_file(io.BytesIO(CANON.encode("ascii")))
     assert g1 == g2 == g3 and f1 == f2 == f3
+    # the CLI's read returns a plain tuple; the library wraps it
+    assert type(f1) is type(f2) is type(f3) is cr.Divisor
 
 
 def test_syntax_errors_report_line_numbers():
